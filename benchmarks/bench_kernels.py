@@ -1,12 +1,12 @@
 """Op-level kernel benchmark and float64 regression harness.
 
-Times the hot forward/backward kernels (Conv2d, MaxPool2d, Dense,
+Times the hot forward/backward kernels (Conv2d, MaxPool2d, ReLU, Dense,
 LSTMCell, GRUCell, rbf_mmd) and two end-to-end training steps (the
 paper's CNN and LSTM models) in three configurations:
 
 * **reference float64** — the frozen pre-optimization kernels from
-  :mod:`repro.nn.reference` (loop-based im2col, per-timestep recurrent
-  GEMMs).  This is the "before" column.
+  :mod:`repro.nn.reference` (loop-based im2col, ``np.where`` ReLU,
+  6-D-reshape max pooling, per-timestep recurrent GEMMs).  This is the "before" column.
 * **optimized float64** — the shipped kernels under the default dtype
   policy.  Must be *bit-identical* to the reference: the harness checks
   ``np.array_equal`` on outputs and gradients and exits non-zero on any
@@ -134,6 +134,13 @@ def bench_ops(quick: bool, repeats: int) -> dict:
         lambda: nn.MaxPool2d(2),
         lambda dt: rng.normal(size=(b, 16, hw, hw)).astype(dt),
         lambda x, dt: rng.normal(size=(b, 16, hw // 2, hw // 2)).astype(dt),
+        repeats=repeats,
+    )
+    ops["relu"] = _op_record(
+        "relu",
+        nn.ReLU,
+        lambda dt: rng.normal(size=(b, 16, hw, hw)).astype(dt),
+        lambda x, dt: rng.normal(size=x.shape).astype(dt),
         repeats=repeats,
     )
     ops["dense"] = _op_record(

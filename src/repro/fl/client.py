@@ -124,11 +124,12 @@ def compute_mean_embedding(
     """delta^k = (1/n_k) sum_j phi(x_{k,j}) under the model's current phi.
 
     Runs the feature extractor only (no classifier head), in eval mode,
-    over the client's full shard.
+    over the client's full shard, and leaves no forward cache behind.
     """
     model.eval()
     total = np.zeros(model.feature_dim)
     for x, _y in data.batches(batch_size):
         total += model.features.forward(x).sum(axis=0)
     model.train()
+    model.free_buffers()
     return total / len(data)

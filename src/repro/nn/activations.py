@@ -16,8 +16,16 @@ class ReLU(Module):
         self._mask = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # Forward-only passes (eval mode) keep no mask, and drop a stale
+        # one so a later backward raises.
+        self._mask = x > 0 if self.training else None
+        # fmax maps NaN to 0 like `where(x > 0, x, 0)`, but may return
+        # -0.0 for a -0.0 input (depending on the loop numpy picks);
+        # adding +0.0 turns that into +0.0 and leaves every other value
+        # bit-for-bit alone.
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -119,11 +119,21 @@ class Conv2d(Module):
         batch = x.shape[0]
         cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
         w_mat = self.weight.data.reshape(self.out_channels, -1)  # (O, C*K*K)
-        out = cols @ w_mat.T + self.bias.data  # (B*OH*OW, O)
-        self._cols = cols
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        return out.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        out = cols @ w_mat.T  # (B*OH*OW, O)
+        out += self.bias.data  # the same single add as `+ bias`, in place
+        if self.training:
+            self._cols = cols
+            self._x_shape = x.shape
+            self._out_hw = (out_h, out_w)
+        else:
+            # A forward-only pass keeps no backward cache, and drops any
+            # left from training so a later backward raises.
+            self._free_buffers()
+        # One contiguous NCHW copy: every downstream elementwise op (and
+        # Flatten's reshape) then streams over contiguous memory.
+        return np.ascontiguousarray(
+            out.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cols is None or self._x_shape is None or self._out_hw is None:

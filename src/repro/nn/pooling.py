@@ -11,45 +11,69 @@ class MaxPool2d(Module):
     """Non-overlapping max pooling with a square window.
 
     Requires the spatial dims to be divisible by ``pool_size`` (the model
-    zoo pads inputs so this always holds), which lets the implementation
-    be a cheap reshape instead of a windowed scan.
+    zoo pads inputs so this always holds).  The window of output pixel
+    (r, c) is then one element of each of the p*p strided slices
+    ``x[:, :, i::p, j::p]``, so the max is p*p - 1 elementwise
+    ``np.maximum`` calls and backward writes one strided slice per
+    window offset — no 6-D reshape of the input, no windowed scan.
     """
 
     def __init__(self, pool_size: int = 2) -> None:
         super().__init__()
         self.pool_size = pool_size
-        self._mask: np.ndarray | None = None
+        # One boolean "is the window max" mask per window offset (i, j),
+        # row-major, and 1/count where some window has tied maxima.
+        self._eq: list[np.ndarray] | None = None
+        self._inv_count: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
 
     def _free_buffers(self) -> None:
-        self._mask = None
+        self._eq = None
+        self._inv_count = None
         self._x_shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
+        _, _, height, width = x.shape
         p = self.pool_size
         if height % p or width % p:
             raise ValueError(
                 f"MaxPool2d: spatial dims ({height},{width}) not divisible by {p}"
             )
-        blocks = x.reshape(batch, channels, height // p, p, width // p, p)
-        out = blocks.max(axis=(3, 5))
-        # A mask of argmax positions; ties are broken by keeping all maxima,
-        # then renormalizing, which still yields a valid subgradient.  The
-        # mask follows the input dtype so float32 stays float32 (the
-        # 1/count weights are exact in both precisions for pool windows).
-        expanded = out[:, :, :, None, :, None]
-        mask = (blocks == expanded).astype(x.dtype)
-        mask /= mask.sum(axis=(3, 5), keepdims=True)
-        self._mask = mask
+        slices = [x[:, :, i::p, j::p] for i in range(p) for j in range(p)]
+        out = slices[0].copy()
+        for s in slices[1:]:
+            np.maximum(out, s, out=out)
+        if not self.training:
+            self._free_buffers()
+            return out
+        # Ties keep every maximum and split the gradient evenly between
+        # them, which is still a valid subgradient.  After ReLU, windows
+        # of all zeros tie routinely.  A NaN window matches nowhere:
+        # count 0 makes its 1/count NaN, so its gradient is NaN.
+        eq = [s == out for s in slices]
+        count = eq[0].astype(x.dtype)
+        for m in eq[1:]:
+            count += m
+        inv_count = None
+        if (count != 1).any():
+            # 1/count in the input dtype, rounded exactly as dividing a
+            # 0/1 mask by its window sum rounds it; 0/0 = NaN.
+            inv_count = np.minimum(count, 1) / count
+        self._eq = eq
+        self._inv_count = inv_count
         self._x_shape = x.shape
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None or self._x_shape is None:
+        if self._eq is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        grad_blocks = self._mask * grad_out[:, :, :, None, :, None]
-        return grad_blocks.reshape(self._x_shape)
+        p = self.pool_size
+        g = grad_out if self._inv_count is None else self._inv_count * grad_out
+        grad = np.empty(self._x_shape, dtype=g.dtype)
+        for k, eq in enumerate(self._eq):
+            i, j = divmod(k, p)
+            np.multiply(g, eq, out=grad[:, :, i::p, j::p])
+        return grad
 
 
 class AvgPool2d(Module):

@@ -1,6 +1,7 @@
 """Reference (pre-optimization) kernels kept as equivalence oracles.
 
 The optimized hot-path kernels in :mod:`repro.nn.conv`,
+:mod:`repro.nn.activations` (ReLU), :mod:`repro.nn.pooling` (MaxPool2d),
 :mod:`repro.nn.recurrent` and :mod:`repro.nn.gru` are required to be
 *bit-for-bit* identical to these straightforward implementations in
 float64 — that is the contract that lets the kernel rewrites ship
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2d
 from repro.nn.gru import GRUCell
 from repro.nn.module import Module
+from repro.nn.pooling import MaxPool2d
 from repro.nn.recurrent import LSTMCell
 
 
@@ -108,6 +111,54 @@ class ReferenceConv2d(Conv2d):
             grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding,
             out_h, out_w,
         )
+
+
+class ReferenceReLU(ReLU):
+    """Original ReLU: ``np.where`` on a boolean mask, cached in any mode."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._mask is None:
+            raise RuntimeError("backward called before forward")
+        return grad_out * self._mask
+
+
+class ReferenceMaxPool2d(MaxPool2d):
+    """Original MaxPool2d: a 6-D block reshape reduced over two axes,
+    with a float ``1/count`` mask of the window maxima."""
+
+    def _free_buffers(self) -> None:
+        self._mask = None
+        self._x_shape = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        batch, channels, height, width = x.shape
+        p = self.pool_size
+        if height % p or width % p:
+            raise ValueError(
+                f"MaxPool2d: spatial dims ({height},{width}) not divisible by {p}"
+            )
+        blocks = x.reshape(batch, channels, height // p, p, width // p, p)
+        out = blocks.max(axis=(3, 5))
+        # A mask of argmax positions; ties are broken by keeping all maxima,
+        # then renormalizing, which still yields a valid subgradient.  The
+        # mask follows the input dtype so float32 stays float32 (the
+        # 1/count weights are exact in both precisions for pool windows).
+        expanded = out[:, :, :, None, :, None]
+        mask = (blocks == expanded).astype(x.dtype)
+        mask /= mask.sum(axis=(3, 5), keepdims=True)
+        self._mask = mask
+        self._x_shape = x.shape
+        return out
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._mask is None or self._x_shape is None:
+            raise RuntimeError("backward called before forward")
+        grad_blocks = self._mask * grad_out[:, :, :, None, :, None]
+        return grad_blocks.reshape(self._x_shape)
 
 
 class ReferenceLSTMCell(LSTMCell):
@@ -268,6 +319,8 @@ class ReferenceGRUCell(GRUCell):
 
 _REFERENCE_CLASSES = {
     Conv2d: ReferenceConv2d,
+    ReLU: ReferenceReLU,
+    MaxPool2d: ReferenceMaxPool2d,
     LSTMCell: ReferenceLSTMCell,
     GRUCell: ReferenceGRUCell,
 }
@@ -277,9 +330,10 @@ def as_reference(module: Module) -> Module:
     """Swap every optimized-kernel layer in a module tree to its
     reference twin, in place, and return the tree.
 
-    The reference classes only override ``forward``/``backward``, so
-    rebinding ``__class__`` is safe: parameters, caches and attribute
-    layout are untouched.  Used by the benchmark harness to time the
+    The reference classes only override ``forward``/``backward`` (and,
+    where the original cached under different names, ``_free_buffers``),
+    so rebinding ``__class__`` is safe: parameters and attribute layout
+    are untouched, and the reference forward rebuilds its own caches.  Used by the benchmark harness to time the
     "before" path on an identically initialized model.
     """
     swap = _REFERENCE_CLASSES.get(type(module))

@@ -1,11 +1,13 @@
 """Bit-for-bit equivalence of the optimized kernels vs the frozen references.
 
-The kernel rewrites (strided im2col, hoisted recurrent input
-projections, fused gate blocks, branchless sigmoid, preallocated GEMM
-destinations) ship under one contract: in float64 they produce **the
+The kernel rewrites (strided im2col, contiguous Conv2d output, fmax
+ReLU, strided-slice MaxPool2d, hoisted recurrent input projections,
+fused gate blocks, branchless sigmoid, preallocated GEMM destinations)
+ship under one contract: in float64 they produce **the
 same bits** as the original implementations, which are frozen verbatim
 in :mod:`repro.nn.reference`.  ``np.array_equal`` throughout — no
-tolerances.
+tolerances — and where signed zeros, NaNs or subnormals are the point,
+the raw bit patterns are compared, since ``-0.0 == 0.0``.
 """
 
 import copy
@@ -91,6 +93,132 @@ def test_col2im_matches_reference(rng, shape):
     )
 
 
+# -- ReLU / MaxPool2d -------------------------------------------------------------
+
+
+def _assert_bits_equal(a, b):
+    """Same dtype, shape and bit pattern (distinguishes -0.0 and NaNs)."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    uint = np.dtype(f"u{a.dtype.itemsize}")
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a).view(uint), np.ascontiguousarray(b).view(uint)
+    )
+
+
+def _fwd_bwd_bits(layer, x, grad_out):
+    """Assert ``layer`` and its reference twin agree bit for bit."""
+    ref = as_reference(copy.deepcopy(layer))
+    assert type(ref) is not type(layer)
+    _assert_bits_equal(layer.forward(x), ref.forward(x))
+    _assert_bits_equal(layer.backward(grad_out), ref.backward(grad_out))
+
+
+RELU_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+              2.2e-308, -2.2e-308, 1e-300, -1e-300, 1.0, -1.0]
+
+
+# Runs of one value, at these lengths, reach both numpy's vectorized
+# loops and their scalar tails (which treat -0.0 differently in fmax).
+@pytest.mark.parametrize("n", [1, 3, 8, 17, 77])
+def test_relu_edge_values_bitwise(n):
+    for x in [np.full(n, v) for v in RELU_EDGES] + [np.tile(RELU_EDGES, n)]:
+        grad_out = np.resize(np.array([2.0, -3.0, np.nan, 0.0, -0.0]), x.shape)
+        _fwd_bwd_bits(nn.ReLU(), x, grad_out)
+
+
+def test_relu_random_bitwise(rng):
+    x = rng.normal(size=(6, 5, 12, 12))
+    _fwd_bwd_bits(nn.ReLU(), x, rng.normal(size=x.shape))
+
+
+def test_relu_float32_matches_reference_and_keeps_dtype(rng):
+    x = np.tile(np.array(RELU_EDGES), 9).astype(np.float32)
+    grad_out = rng.normal(size=x.shape).astype(np.float32)
+    layer = nn.ReLU()
+    out = layer.forward(x)
+    assert out.dtype == np.float32
+    assert layer.backward(grad_out).dtype == np.float32
+    _fwd_bwd_bits(nn.ReLU(), x, grad_out)
+
+
+def _tie_windows(rng, pool, ways, shape=(3, 4, 6, 6)):
+    """An input where every window's max is shared by ``ways`` cells."""
+    b, c, h, w = shape
+    x = rng.normal(size=shape) - 10.0  # strictly below every window max
+    top = rng.normal(size=(b, c, h // pool, w // pool))
+    for win_r in range(h // pool):
+        for win_c in range(w // pool):
+            cells = rng.choice(pool * pool, size=ways, replace=False)
+            for cell in cells:
+                i, j = divmod(int(cell), pool)
+                x[:, :, win_r * pool + i, win_c * pool + j] = top[:, :, win_r, win_c]
+    return x
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_maxpool_random_bitwise(rng, pool):
+    x = rng.normal(size=(4, 3, 6 * pool, 4 * pool))
+    grad_out = rng.normal(size=(4, 3, 6, 4))
+    _fwd_bwd_bits(nn.MaxPool2d(pool), x, grad_out)
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_maxpool_all_equal_windows_bitwise(rng, pool):
+    x = np.full((2, 3, 2 * pool, 3 * pool), 1.5)
+    x[1] = -2.25
+    _fwd_bwd_bits(nn.MaxPool2d(pool), x, rng.normal(size=(2, 3, 2, 3)))
+
+
+@pytest.mark.parametrize("pool,ways", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_maxpool_tied_windows_bitwise(rng, pool, ways):
+    x = _tie_windows(rng, pool, ways, shape=(3, 4, 2 * pool, 3 * pool))
+    grad_out = rng.normal(size=(3, 4, 2, 3))
+    _fwd_bwd_bits(nn.MaxPool2d(pool), x, grad_out)
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_maxpool_after_relu_zero_windows_bitwise(rng, pool):
+    """Post-ReLU inputs: whole windows of +0.0 tie on every cell."""
+    x = np.fmax(rng.normal(size=(4, 5, 4 * pool, 4 * pool)) - 1.0, 0.0) + 0.0
+    layer = nn.MaxPool2d(pool)
+    assert (layer.forward(x) == 0.0).any()
+    _fwd_bwd_bits(layer, x, rng.normal(size=(4, 5, 4, 4)))
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_maxpool_nan_windows_bitwise(rng, pool):
+    x = rng.normal(size=(2, 3, 3 * pool, 3 * pool))
+    x[0, 0, 0, 0] = np.nan  # one NaN cell
+    x[1, 2, pool : 2 * pool, pool : 2 * pool] = np.nan  # an all-NaN window
+    grad_out = rng.normal(size=(2, 3, 3, 3))
+    with np.errstate(invalid="ignore"):  # the reference's 0/0 for NaN windows
+        _fwd_bwd_bits(nn.MaxPool2d(pool), x, grad_out)
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_maxpool_signed_zero_ties_match_in_value(rng, pool):
+    """A window whose maximum is 0 held as both -0.0 and +0.0 has the
+    same max value and the same gradient; only the sign bit of that zero
+    maximum depends on the order numpy's reduction visits the window, so
+    this case is compared by value.  MaxPool2d follows ReLU in every
+    model, and ReLU never emits -0.0."""
+    x = rng.choice(np.array([-0.0, 0.0, -1.0]), size=(3, 4, 3 * pool, 2 * pool))
+    layer, ref = nn.MaxPool2d(pool), as_reference(nn.MaxPool2d(pool))
+    np.testing.assert_array_equal(layer.forward(x), ref.forward(x))
+    grad_out = rng.normal(size=(3, 4, 3, 2))
+    _assert_bits_equal(layer.backward(grad_out), ref.backward(grad_out))
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_maxpool_float32_matches_reference_and_keeps_dtype(rng, pool):
+    x = _tie_windows(rng, pool, 2, shape=(2, 3, 2 * pool, 2 * pool)).astype(np.float32)
+    grad_out = rng.normal(size=(2, 3, 2, 2)).astype(np.float32)
+    layer = nn.MaxPool2d(pool)
+    assert layer.forward(x).dtype == np.float32
+    assert layer.backward(grad_out).dtype == np.float32
+    _fwd_bwd_bits(nn.MaxPool2d(pool), x, grad_out)
+
+
 # -- layer-level fwd/bwd/grads --------------------------------------------------
 
 
@@ -151,14 +279,31 @@ def test_full_model_train_flow_bitwise(rng):
 
     model = build()
     ref = as_reference(build())
+    assert [type(layer).__name__ for layer in ref.layers[:3]] == [
+        "ReferenceConv2d", "ReferenceReLU", "ReferenceMaxPool2d",
+    ]
     x = rng.normal(size=(5, 1, 8, 8))
+    x_eval = rng.normal(size=(7, 1, 8, 8))
     y = rng.integers(0, 3, 5)
     loss = nn.SoftmaxCrossEntropy()
-    for m in (model, ref):
-        m.zero_grad()
-        loss.forward(m(x), y)
-        m.backward(loss.backward())
+    logits = {}
+    for name, m in (("opt", model), ("ref", ref)):
+        seen = []
+        for _step in range(3):
+            m.train()
+            m.zero_grad()
+            loss.forward(m(x), y)
+            m.backward(loss.backward())
+            for p in m.parameters():
+                p.data -= 0.1 * p.grad
+            # A forward-only pass between steps, as evaluation and mean
+            # embeddings run it.
+            m.eval()
+            seen.append(m(x_eval))
+        logits[name] = seen
     assert _params_equal(model, ref)
+    for out, ref_out in zip(logits["opt"], logits["ref"]):
+        _assert_bits_equal(out, ref_out)
 
 
 # -- blockwise MMD --------------------------------------------------------------
