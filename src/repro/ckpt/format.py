@@ -25,9 +25,9 @@ point leaves either the old file, the new file, or a stray ``*.tmp-*``
 sibling — never a half-written checkpoint under the real name.
 
 Section payloads reuse the RFW1 wire format (:mod:`repro.fl.wire`)
-through :func:`pack_tree` / :func:`unpack_tree`, which round-trip an
-arbitrary JSON-able tree whose leaves may additionally be numpy arrays
-or raw ``bytes`` (content fingerprints).
+through :func:`pack_tree` / :func:`layout_tree` / :func:`unpack_tree`,
+which round-trip an arbitrary JSON-able tree whose leaves may
+additionally be numpy arrays or raw ``bytes`` (content fingerprints).
 """
 
 from __future__ import annotations
@@ -60,12 +60,15 @@ def _digest(payload: bytes) -> bytes:
 # -- tree <-> bytes -----------------------------------------------------------------
 
 
-def pack_tree(tree: dict) -> bytes:
-    """Encode a nested dict of JSON-able values, numpy arrays and bytes.
+def layout_tree(tree: dict) -> wire.Layout:
+    """Lay out a nested dict of JSON-able values, numpy arrays and bytes.
 
     Arrays are stored dtype-true in RFW1 segments (no base64 bloat, no
     pickle); everything else rides a JSON skeleton with ``{"__nd__": i}``
-    / ``{"__hex__": ...}`` markers at the array / bytes leaves.
+    / ``{"__hex__": ...}`` markers at the array / bytes leaves.  The
+    skeleton is rendered now, but contiguous arrays are not copied: the
+    layout aliases them, so it must be consumed (written, joined) before
+    they change.
     """
     arrays: dict[str, np.ndarray] = {}
 
@@ -104,9 +107,14 @@ def pack_tree(tree: dict) -> bytes:
     segments: dict[str, object] = {"__json__": np.frombuffer(payload, dtype=np.uint8)}
     segments.update(arrays)
     try:
-        return wire.pack("generic", segments)
+        return wire.layout("generic", segments)
     except WireError as exc:
         raise CheckpointError(f"unpackable checkpoint section: {exc}") from exc
+
+
+def pack_tree(tree: dict) -> bytes:
+    """:func:`layout_tree`, joined into one ``bytes`` section."""
+    return layout_tree(tree).tobytes()
 
 
 def unpack_tree(buf: bytes) -> dict:
@@ -145,29 +153,41 @@ def unpack_tree(buf: bytes) -> dict:
 # -- file container -----------------------------------------------------------------
 
 
-def write_checkpoint(path: str | Path, meta: dict, sections: dict[str, bytes]) -> Path:
-    """Atomically persist ``sections`` (name -> packed bytes) under ``path``.
+# Sections stream to the hash and the file in pieces of this size, so
+# each piece is still in cache when it is written after being hashed.
+_STREAM_CHUNK = 1 << 20
 
-    The file appears under its final name only after the full content has
-    been flushed and fsynced; concurrent writers cannot interleave
-    because the temporary name embeds the writer's pid.
+
+def _section_chunks(section: bytes | wire.Layout):
+    pieces = section.chunks() if isinstance(section, wire.Layout) else (section,)
+    for piece in pieces:
+        view = memoryview(piece)
+        for start in range(0, len(view), _STREAM_CHUNK):
+            yield view[start : start + _STREAM_CHUNK]
+
+
+def write_checkpoint(
+    path: str | Path, meta: dict, sections: dict[str, bytes | wire.Layout]
+) -> Path:
+    """Atomically persist ``sections`` under ``path``.
+
+    A section is either packed bytes or a :class:`~repro.fl.wire.Layout`
+    (see :func:`layout_tree`); a layout is streamed from the arrays it
+    aliases, each piece hashed and written in one pass, and yields the
+    same file as its joined bytes would.  The file appears under its
+    final name only after the full content has been flushed and
+    fsynced; concurrent writers cannot interleave because the temporary
+    name embeds the writer's pid.
     """
     path = Path(path)
-    table = []
-    offset = None  # filled once the manifest length is known
     blobs = list(sections.items())
-    # Two-pass: manifest size depends on offsets, offsets depend on the
-    # manifest size.  Build the table with zero offsets first to measure,
-    # then shift by the fixed header + manifest length.
-    for name, blob in blobs:
-        table.append(
-            {
-                "name": name,
-                "offset": 0,
-                "length": len(blob),
-                "blake2b": _digest(blob).hex(),
-            }
-        )
+    # Hashes are fixed-width hex, so a placeholder of the same width
+    # sizes the manifest before the single hashing/writing pass fills
+    # them in.
+    table = [
+        {"name": name, "offset": 0, "length": len(blob), "blake2b": "0" * 32}
+        for name, blob in blobs
+    ]
 
     def render(entries) -> bytes:
         manifest = {
@@ -182,11 +202,10 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict[str, bytes]) -
     # practice, bounded defensively).
     manifest_bytes = render(table)
     for _ in range(8):
-        offset = _HEADER.size + len(manifest_bytes)
-        cursor = offset
-        for entry, (_name, blob) in zip(table, blobs):
+        cursor = _HEADER.size + len(manifest_bytes)
+        for entry in table:
             entry["offset"] = cursor
-            cursor += len(blob)
+            cursor += entry["length"]
         rendered = render(table)
         if len(rendered) == len(manifest_bytes):
             manifest_bytes = rendered
@@ -199,10 +218,20 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict[str, bytes]) -
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "wb") as handle:
-            handle.write(_HEADER.pack(MAGIC, len(manifest_bytes), _digest(manifest_bytes)))
-            handle.write(manifest_bytes)
-            for _name, blob in blobs:
-                handle.write(blob)
+            handle.seek(_HEADER.size + len(manifest_bytes))
+            for entry, (_name, blob) in zip(table, blobs):
+                digest = hashlib.blake2b(digest_size=16)
+                for chunk in _section_chunks(blob):
+                    digest.update(chunk)
+                    handle.write(chunk)
+                entry["blake2b"] = digest.hexdigest()
+            final_manifest = render(table)
+            if len(final_manifest) != len(manifest_bytes):  # pragma: no cover
+                raise CheckpointError("manifest size changed after hashing")
+            handle.seek(0)
+            header = _HEADER.pack(MAGIC, len(final_manifest), _digest(final_manifest))
+            handle.write(header)
+            handle.write(final_manifest)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from repro.ckpt.format import read_checkpoint, read_manifest, write_checkpoint
 from repro.exceptions import CheckpointError
+from repro.fl.wire import Layout
 
 _NAME_RE = re.compile(r"^ckpt-(\d{8})\.rck$")
 
@@ -64,8 +65,15 @@ class CheckpointManager:
         return sorted(rounds)
 
     # -- writing ------------------------------------------------------------------
-    def save(self, round_idx: int, meta: dict, sections: dict[str, bytes]) -> Path:
-        """Persist one round's checkpoint and apply the retention policy."""
+    def save(
+        self, round_idx: int, meta: dict, sections: dict[str, bytes | Layout]
+    ) -> Path:
+        """Persist one round's checkpoint and apply the retention policy.
+
+        ``sections`` may alias live state (see
+        :func:`repro.ckpt.state.capture_run_state`); they are fully
+        consumed before this returns.
+        """
         path = write_checkpoint(self.path_for(round_idx), meta, sections)
         self._prune()
         return path

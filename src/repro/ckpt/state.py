@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ckpt.format import pack_tree, unpack_tree
+from repro.ckpt.format import layout_tree, unpack_tree
 from repro.ckpt.provenance import check_resume_compatible, run_provenance
 from repro.exceptions import CheckpointError
 from repro.fl.metrics import History, StreamingHistory
+from repro.fl.wire import Layout
 
 SECTION_MODEL = "model"
 SECTION_ALGORITHM = "algorithm"
@@ -58,14 +59,21 @@ def capture_run_state(
     config,
     tracer=None,
     extra_sections: dict[str, dict] | None = None,
-) -> tuple[dict, dict[str, bytes]]:
+) -> tuple[dict, dict[str, Layout]]:
     """Snapshot everything a resume needs, as ``(meta, sections)``.
 
     Called at the end of round ``round_idx`` — after the history record
     was appended and the ledger's round was closed, so the snapshot is a
     consistent between-rounds cut of the run.
 
-    ``extra_sections`` maps section names to pack_tree-able dicts an
+    The sections are :class:`~repro.fl.wire.Layout` objects that alias
+    the live arrays (global model, server state, residual tables) rather
+    than copying them: the caller must save them — hand them to
+    :meth:`~repro.ckpt.manager.CheckpointManager.save` — before the run
+    mutates any state.  Every engine captures and saves back to back
+    inside its checkpoint span.
+
+    ``extra_sections`` maps section names to layout_tree-able dicts an
     execution engine wants carried alongside the core state (the async
     engine's event queue and sim clock ride in ``SECTION_ASYNC``); the
     engine that wrote them unpacks them itself on resume.
@@ -80,21 +88,21 @@ def capture_run_state(
     # full record list (checkpoint_dict); appending histories keep the
     # historical full to_dict form.
     history_dict_fn = getattr(history, "checkpoint_dict", history.to_dict)
-    sections: dict[str, bytes] = {
-        SECTION_MODEL: pack_tree({"global_params": algorithm.global_params}),
-        SECTION_ALGORITHM: pack_tree(algorithm.checkpoint_state()),
-        SECTION_RNG: pack_tree({"round_rng": rng_state(round_rng)}),
-        SECTION_LEDGER: pack_tree(algorithm.ledger.state_dict()),
-        SECTION_HISTORY: pack_tree(history_dict_fn()),
+    sections: dict[str, Layout] = {
+        SECTION_MODEL: layout_tree({"global_params": algorithm.global_params}),
+        SECTION_ALGORITHM: layout_tree(algorithm.checkpoint_state()),
+        SECTION_RNG: layout_tree({"round_rng": rng_state(round_rng)}),
+        SECTION_LEDGER: layout_tree(algorithm.ledger.state_dict()),
+        SECTION_HISTORY: layout_tree(history_dict_fn()),
     }
     if algorithm.fault_model is not None:
-        sections[SECTION_FAULTS] = pack_tree(algorithm.fault_model.state_dict())
+        sections[SECTION_FAULTS] = layout_tree(algorithm.fault_model.state_dict())
     if tracer is not None and tracer.enabled:
-        sections[SECTION_METRICS] = pack_tree(tracer.metrics.state_dict())
+        sections[SECTION_METRICS] = layout_tree(tracer.metrics.state_dict())
     for name, tree in (extra_sections or {}).items():
         if name in sections:
             raise CheckpointError(f"extra section {name!r} collides with a core section")
-        sections[name] = pack_tree(tree)
+        sections[name] = layout_tree(tree)
     return meta, sections
 
 

@@ -125,13 +125,17 @@ class DeltaTable:
         self.install_views(segments["delta_table"], segments["delta_reported"])
 
     def checkpoint_segments(self) -> dict[str, np.ndarray]:
-        """Layout-independent sparse snapshot (reported rows only)."""
+        """Layout-independent sparse snapshot (reported rows only).
+
+        Once every client has reported, the rows are the live table
+        itself; before that, the reported rows are gathered (one copy).
+        Either way the arrays may alias live state and are valid only
+        until the next :meth:`update` — a checkpoint consumes them
+        immediately.
+        """
         ids = self.reported_ids()
-        return {
-            "delta_ids": ids,
-            "delta_rows": self._table[ids].copy(),
-            "delta_reported": self._reported.copy(),
-        }
+        rows = self._table if len(ids) == self.num_clients else self._table[ids]
+        return {"delta_ids": ids, "delta_rows": rows, "delta_reported": self._reported}
 
     def restore_checkpoint_segments(self, segments: dict) -> None:
         """Restore either the sparse snapshot or the pre-sharding dense
@@ -439,7 +443,7 @@ class ShardedDeltaTable:
         return {
             "delta_ids": ids,
             "delta_rows": self.rows_for(ids),
-            "delta_reported": self._reported.copy(),
+            "delta_reported": self._reported,
         }
 
     def restore_checkpoint_segments(self, segments: dict) -> None:

@@ -407,19 +407,19 @@ class ParallelExecutor(ClientExecutor):
             )
             self._bound = weakref.ref(algorithm)
 
-    def _broadcast_state(self, packed: bytes) -> None:
-        """Publish the round state: one write, visible to every worker."""
+    def _broadcast_state(self, message: wire.Layout) -> None:
+        """Publish the round state: the live arrays are copied once,
+        straight into the shared buffer every worker reads."""
         self._seq += 1
-        header_size = _STATE_HEADER.size
-        self._mmap[:header_size] = _STATE_HEADER.pack(len(packed), self._seq)
-        self._mmap[header_size : header_size + len(packed)] = packed
+        message.write_into(self._mmap, _STATE_HEADER.size)
+        _STATE_HEADER.pack_into(self._mmap, 0, len(message), self._seq)
 
     def _run_wire_pool(
         self, algorithm, round_idx: int, client_ids: list[int]
     ) -> list[ClientUpdate]:
-        packed = wire.pack_state(algorithm._worker_state())
-        self._ensure_wire_pool(algorithm, len(packed))
-        self._broadcast_state(packed)
+        message = wire.pack_state(algorithm._worker_state())
+        self._ensure_wire_pool(algorithm, len(message))
+        self._broadcast_state(message)
         results: list[ClientUpdate | None] = [None] * len(client_ids)
         futures = [
             self._pool.submit(_run_wire_task, round_idx, task)
@@ -452,9 +452,9 @@ class ParallelExecutor(ClientExecutor):
         state = algorithm._worker_state()
         for r, (_ids, params) in enumerate(regions):
             state[f"hier.{r}"] = params
-        packed = wire.pack_state(state)
-        self._ensure_wire_pool(algorithm, len(packed))
-        self._broadcast_state(packed)
+        message = wire.pack_state(state)
+        self._ensure_wire_pool(algorithm, len(message))
+        self._broadcast_state(message)
         results: list[list[ClientUpdate | None]] = [
             [None] * len(ids) for ids, _params in regions
         ]

@@ -31,6 +31,13 @@ returns **zero-copy read-only views** into the source buffer, so a
 worker can decode a round-state broadcast out of shared memory without
 materializing anything.
 
+Encoding is zero-copy up to the sink: :func:`layout` renders the header
+and segment table and keeps views of the segment arrays, and the
+resulting :class:`Layout` is consumed once — joined into ``bytes`` by
+:func:`pack`, written straight into the process pool's shared
+round-state buffer, or streamed piece by piece into a checkpoint file
+(:mod:`repro.ckpt.format`).
+
 Three message kinds are used by the transport layer:
 
 * ``"state"`` — the round-constant algorithm state the parent broadcasts
@@ -58,7 +65,7 @@ and offset against the actual buffer and raise :class:`WireError`.
 from __future__ import annotations
 
 import struct
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -111,11 +118,59 @@ def _as_segment(name: str, value) -> tuple[int, np.ndarray]:
     raise WireError(f"segment {name!r}: cannot encode {type(value).__name__}")
 
 
-def pack(kind: str, segments: Mapping[str, object]) -> bytes:
-    """Encode named segments into one contiguous wire message."""
+class Layout:
+    """One RFW1 message laid out but not joined.
+
+    ``header`` holds the fixed header and the segment table; ``views``
+    pairs each segment's absolute offset with a flat byte view of its
+    array — zero-copy for C-contiguous inputs, so the layout aliases
+    the caller's arrays and is valid only while they are unchanged.
+    ``len()`` is the message's byte count.  The three sinks —
+    :meth:`tobytes`, :meth:`write_into` and :meth:`chunks` — produce
+    the same bytes.
+    """
+
+    __slots__ = ("header", "views", "total")
+
+    def __init__(self, header: bytes, views: list[tuple[int, memoryview]], total: int):
+        self.header = header
+        self.views = views
+        self.total = total
+
+    def __len__(self) -> int:
+        return self.total
+
+    def chunks(self) -> Iterator[bytes | memoryview]:
+        """The message's bytes in order, alignment padding included."""
+        yield self.header
+        pos = len(self.header)
+        for offset, view in self.views:
+            if offset > pos:
+                yield bytes(offset - pos)
+            yield view
+            pos = offset + len(view)
+        if self.total > pos:
+            yield bytes(self.total - pos)
+
+    def tobytes(self) -> bytes:
+        """Join the message into one ``bytes`` object (one copy)."""
+        return b"".join(self.chunks())
+
+    def write_into(self, buf, offset: int) -> None:
+        """Write the message into the writable buffer ``buf`` (an mmap,
+        a bytearray) at ``offset``, padding included."""
+        for chunk in self.chunks():
+            end = offset + len(chunk)
+            buf[offset:end] = chunk
+            offset = end
+
+
+def layout(kind: str, segments: Mapping[str, object]) -> Layout:
+    """Lay out named segments as one wire message, without copying
+    contiguous arrays."""
     if kind not in KIND_CODES:
         raise WireError(f"unknown message kind {kind!r}")
-    normalized: list[tuple[str, bytes, int, np.ndarray]] = []
+    normalized: list[tuple[bytes, int, np.ndarray]] = []
     for name, value in segments.items():
         name_bytes = name.encode("utf-8")
         if not name_bytes or len(name_bytes) > 255:
@@ -123,36 +178,36 @@ def pack(kind: str, segments: Mapping[str, object]) -> bytes:
         flag, arr = _as_segment(name, value)
         if arr.ndim > 255:
             raise WireError(f"segment {name!r}: too many dimensions")
-        normalized.append((name, name_bytes, flag, arr))
+        normalized.append((name_bytes, flag, arr))
 
     header_len = _HEADER.size + sum(
         _ENTRY_FIXED.size + arr.ndim * 8 + len(name_bytes)
-        for _, name_bytes, _, arr in normalized
+        for name_bytes, _, arr in normalized
     )
-    offsets: list[int] = []
+    header = bytearray(header_len)
+    views: list[tuple[int, memoryview]] = []
     cursor = _align(header_len)
-    for _, _, _, arr in normalized:
-        offsets.append(cursor)
-        cursor = _align(cursor + arr.nbytes)
-    total_len = cursor
-
-    buf = bytearray(total_len)
-    _HEADER.pack_into(
-        buf, 0, MAGIC, VERSION, KIND_CODES[kind], len(normalized), header_len, total_len
-    )
     pos = _HEADER.size
-    for (name, name_bytes, flag, arr), offset in zip(normalized, offsets):
+    for name_bytes, flag, arr in normalized:
         _ENTRY_FIXED.pack_into(
-            buf, pos, flag, DTYPE_CODES[arr.dtype], arr.ndim, len(name_bytes), offset
+            header, pos, flag, DTYPE_CODES[arr.dtype], arr.ndim, len(name_bytes), cursor
         )
         pos += _ENTRY_FIXED.size
-        for dim in arr.shape:
-            struct.pack_into("<Q", buf, pos, dim)
-            pos += 8
-        buf[pos : pos + len(name_bytes)] = name_bytes
+        struct.pack_into(f"<{arr.ndim}Q", header, pos, *arr.shape)
+        pos += arr.ndim * 8
+        header[pos : pos + len(name_bytes)] = name_bytes
         pos += len(name_bytes)
-        buf[offset : offset + arr.nbytes] = arr.tobytes()
-    return bytes(buf)
+        views.append((cursor, memoryview(arr.reshape(-1)).cast("B")))
+        cursor = _align(cursor + arr.nbytes)
+    _HEADER.pack_into(
+        header, 0, MAGIC, VERSION, KIND_CODES[kind], len(normalized), header_len, cursor
+    )
+    return Layout(bytes(header), views, cursor)
+
+
+def pack(kind: str, segments: Mapping[str, object]) -> bytes:
+    """Encode named segments into one contiguous wire message."""
+    return layout(kind, segments).tobytes()
 
 
 def unpack(buf) -> tuple[str, dict[str, object]]:
@@ -301,9 +356,13 @@ class FrameAssembler:
 # -- round-state broadcast ----------------------------------------------------------
 
 
-def pack_state(state: Mapping[str, object]) -> bytes:
-    """Encode a round-state dict (arrays / scalars) for broadcast."""
-    return pack("state", state)
+def pack_state(state: Mapping[str, object]) -> Layout:
+    """Lay out a round-state dict (arrays / scalars) for broadcast.
+
+    The result aliases the state's arrays; the parent writes it straight
+    into the shared round-state buffer (:meth:`Layout.write_into`).
+    """
+    return layout("state", state)
 
 
 def unpack_state(buf) -> dict[str, object]:

@@ -95,7 +95,7 @@ def build_state(state: dict, seq: int) -> bytes:
     """The round-state broadcast; raises :class:`WireError` when the
     algorithm's state cannot ride the packed format (the server then
     degrades — there is no pickled state transport over sockets)."""
-    return wire.frame(wire.pack_state({**state, "serve.seq": seq}))
+    return wire.frame(wire.pack("state", {**state, "serve.seq": seq}))
 
 
 def build_task(

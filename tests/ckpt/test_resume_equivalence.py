@@ -129,32 +129,50 @@ def test_crash_resume_under_parallel_wire(fed, name, kwargs, tmp_path):
     )
 
 
+_SERIAL = {}
+_POOL = {"num_workers": 2, "executor": "process", "transport": "wire"}
+
+
 @pytest.mark.parametrize(
-    "name,kwargs,overrides",
+    "name,kwargs,overrides,engine",
     [
-        pytest.param("fedavg", {}, {"compression": "topk:0.25|qsgd:8"}, id="fedavg-ef"),
+        pytest.param(
+            "fedavg", {}, {"compression": "topk:0.25|qsgd:8"}, _SERIAL, id="fedavg-ef"
+        ),
         pytest.param(
             "rfedavg+",
             {"lam": 1e-3},
             {"compression": "topk:0.25|qsgd:8", "sync_compression": "qsgd:8"},
+            _SERIAL,
             id="rfedavg+-ef-sync",
+        ),
+        pytest.param(
+            "fedavg", {}, {"compression": "topk:0.25|qsgd:8"}, _POOL,
+            id="fedavg-ef-pool-wire",
         ),
     ],
 )
-def test_crash_resume_with_error_feedback_residuals(fed, name, kwargs, overrides, tmp_path):
+def test_crash_resume_with_error_feedback_residuals(
+    fed, name, kwargs, overrides, engine, tmp_path
+):
     """Crash with non-empty error-feedback residuals, resume, bit-identical.
 
     By CRASH_ROUND every client has accumulated a non-zero residual, so
     this exercises the ``ef_residuals`` checkpoint segments (and, for
     rfedavg+, the second-synchronization model/delta residuals) rather
-    than the trivially-empty-table path.
+    than the trivially-empty-table path.  The pool case carries the
+    residual table through the shared-memory round-state broadcast and
+    checkpoints it from the live table.
     """
     import numpy as np
 
     baseline, resumed = _crash_and_resume(
-        name, kwargs, fed, tmp_path, config=_config(**overrides)
+        name, kwargs, fed, tmp_path, config=_config(**overrides), **engine
     )
     algorithm = resumed[0]
+    if engine:  # the pool ran every round; it never fell back to serial or pickle
+        assert not algorithm.executor.degraded
+        assert algorithm.executor.transport == "wire"
     assert algorithm._residuals is not None
     norms = [
         float(np.linalg.norm(algorithm._residuals.get(cid)))

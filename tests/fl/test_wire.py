@@ -135,7 +135,7 @@ def test_state_round_trip():
         "server_control": np.zeros(33),
         "client_controls": np.ones((4, 33)),
     }
-    out = wire.unpack_state(wire.pack_state(state))
+    out = wire.unpack_state(wire.pack_state(state).tobytes())
     assert set(out) == set(state)
     for name, arr in state.items():
         np.testing.assert_array_equal(out[name], arr)

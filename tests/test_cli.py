@@ -52,6 +52,46 @@ def test_run_command_sequence_dataset_defaults_to_lstm(capsys):
     assert "final accuracy" in out
 
 
+_CNN_RUN = [
+    "run", "--dataset", "synth_mnist", "--algorithm", "fedavg", "--model", "cnn",
+    "--clients", "4", "--similarity", "1.0", "--rounds", "3", "--local-steps", "5",
+    "--batch-size", "16", "--eval-every", "3",
+]
+
+
+def _spy_lr(monkeypatch) -> list[float]:
+    import repro.cli as cli
+
+    seen: list[float] = []
+    real = cli.run_federated
+
+    def spy(algorithm, fed, model_fn, config, **kwargs):
+        seen.append(config.lr)
+        return real(algorithm, fed, model_fn, config, **kwargs)
+
+    monkeypatch.setattr(cli, "run_federated", spy)
+    return seen
+
+
+def test_run_command_cnn_default_lr_beats_chance(capsys, monkeypatch):
+    # At the MLP-tuned 0.5 the paper-width CNN diverges in round 0 and
+    # stays at chance (0.1 on 10 classes) while exiting 0.
+    seen = _spy_lr(monkeypatch)
+    assert main(_CNN_RUN) == 0
+    assert seen == [0.1]
+    out = capsys.readouterr().out
+    accuracy = float(out.split("final accuracy:")[1].split()[0])
+    assert accuracy > 0.2
+
+
+def test_run_command_explicit_lr_overrides_model_default(capsys, monkeypatch):
+    seen = _spy_lr(monkeypatch)
+    run = _CNN_RUN[:]
+    run[run.index("--rounds") + 1] = "1"
+    assert main(run + ["--lr", "0.03"]) == 0
+    assert seen == [0.03]
+
+
 def test_run_command_trace_prints_phase_table(capsys):
     code = main([
         "run", "--dataset", "synth_mnist", "--algorithm", "fedavg",
