@@ -11,7 +11,7 @@ Both benches run through the first-class execution modes:
 one-update-per-arrival FedAsync server, and
 ``FLConfig(topology="hier:R:P")`` runs the region-parallel
 hierarchical engine (the legacy eager ``run_hierarchical`` /
-``run_async_federated`` APIs are deprecated).
+``run_async_federated`` APIs have been removed).
 """
 
 import numpy as np

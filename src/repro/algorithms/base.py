@@ -27,6 +27,12 @@ Extension points, in round order:
 * :meth:`_commit_client` — per-client state mutation, selection order.
 * :meth:`_aggregate_updates` / :meth:`_aggregate` — server update.
 * :meth:`_post_aggregate` — extra synchronization phases.
+
+:meth:`run_round` is the two phases every engine shares —
+:meth:`_dispatch_round` (pre-round hook, dropout, broadcast) and
+:meth:`_complete_round` (uplink charge, commits, aggregation) — around
+client execution; the hierarchical and async engines call the phases
+directly (:mod:`repro.fl.trainer` describes the round driver).
 """
 
 from __future__ import annotations
@@ -82,10 +88,12 @@ class FederatedAlgorithm:
     # Whether the round can run independently per region under a
     # hierarchical topology (R > 1): per-client tables partition by
     # region ownership and algorithm-global server state updates once
-    # per region aggregation.  An algorithm whose round semantics
-    # require exactly one current global model (rfedavg_exact's
-    # full-population delta refresh) sets this False and the
-    # hierarchical engine refuses R > 1.
+    # per region aggregation, while the dispatch phase runs once per
+    # round with the reported (region-averaged) model installed.  An
+    # algorithm whose round semantics require exactly one current
+    # global model (rfedavg_exact's full-population delta refresh in
+    # _pre_round) sets this False and the hierarchical engine refuses
+    # R > 1.
     region_aggregation_safe = True
 
     def __init__(self) -> None:
@@ -508,8 +516,13 @@ class FederatedAlgorithm:
 
         Returns updates in selection order (the executor contract).
         """
-        client_ids = [int(c) for c in selected]
-        updates = self.executor.run(self, round_idx, client_ids)
+        updates = self.executor.run(self, round_idx, [int(c) for c in selected])
+        self._materialize_updates(updates)
+        return updates
+
+    def _materialize_updates(self, updates: list[ClientUpdate]) -> None:
+        """Densify finished updates against the current global model
+        (and trace each update's distance from it)."""
         for update in updates:
             self._materialize_params(update)
         if self.tracer.enabled:
@@ -519,7 +532,6 @@ class FederatedAlgorithm:
                 histogram.observe(
                     float(np.linalg.norm(update.params - self.global_params))
                 )
-        return updates
 
     def _round_stats(
         self, selected: np.ndarray, updates: list[ClientUpdate]
@@ -539,20 +551,33 @@ class FederatedAlgorithm:
         Algorithms with an extra synchronization phase (e.g. the exact
         rFedAvg reference refreshing every delta from the current
         global model) override this instead of :meth:`run_round`, so
-        both execution engines — the synchronous barrier loop and the
-        event-driven async engine — run it at dispatch time.
+        every engine runs it at dispatch time.
         """
 
-    def run_round(self, round_idx: int, selected: np.ndarray) -> RoundStats:
-        """Execute one communication round over ``selected`` clients."""
+    def _dispatch_round(self, round_idx: int, selected: np.ndarray) -> np.ndarray:
+        """The dispatch phase: pre-round hook, fault dropout, broadcast.
+
+        Returns the clients that survive dropout — the ones that train.
+        The hierarchical engine runs this once over the whole cohort, so
+        dropout draws do not depend on the region layout.
+        """
         self._require_setup()
-        tracer = self.tracer
         self._pre_round(round_idx, selected)
         if self.fault_model is not None:
             selected = self.fault_model.surviving_clients(selected)
-        with tracer.span("broadcast"):
+        with self.tracer.span("broadcast"):
             self._charge_broadcast(selected)
-        updates = self._execute_clients(round_idx, selected)
+        return selected
+
+    def _complete_round(
+        self, round_idx: int, selected: np.ndarray, updates: list[ClientUpdate]
+    ) -> None:
+        """The complete phase: charge uploads, commit every update in
+        selection order, aggregate, run the post-aggregation phases.
+
+        Hierarchical rounds call this once per region (with the region
+        model installed), the async engine once per buffer flush.
+        """
         self._charge_uploads(selected, updates)
         for update in updates:
             if self.fault_model is not None and self.fault_model.is_byzantine(
@@ -560,7 +585,13 @@ class FederatedAlgorithm:
             ):
                 self.fault_model.corrupted_total += 1
             self._commit_client(round_idx, update)
-        with tracer.span("aggregate"):
+        with self.tracer.span("aggregate"):
             self.global_params = self._aggregate_updates(round_idx, selected, updates)
             self._post_aggregate(round_idx, selected)
+
+    def run_round(self, round_idx: int, selected: np.ndarray) -> RoundStats:
+        """Execute one communication round over ``selected`` clients."""
+        selected = self._dispatch_round(round_idx, selected)
+        updates = self._execute_clients(round_idx, selected)
+        self._complete_round(round_idx, selected, updates)
         return self._round_stats(selected, updates)

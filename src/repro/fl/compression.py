@@ -57,7 +57,6 @@ shipping) when reproducing pre-wire experiment numbers — see
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -679,34 +678,3 @@ def compressor_from_spec(spec: str | None) -> Compressor | None:
         return None
     return CompressionPipeline(spec)
 
-
-_MAKE_COMPRESSOR_WARNED = False
-
-
-def make_compressor(name: str, **kwargs) -> Compressor:
-    """Deprecated factory: 'none' | 'topk' | 'subsample' | 'quantize'.
-
-    Use spec strings instead — :func:`compressor_from_spec`
-    (``"topk:0.05"``, ``"quantize:8"``) or the ``FLConfig.compression``
-    knob, which add composition and error feedback.  This alias warns
-    once per process and delegates to the legacy single-stage classes
-    (still the right tool for ``legacy_scalars=True`` byte accounting).
-    """
-    global _MAKE_COMPRESSOR_WARNED
-    if not _MAKE_COMPRESSOR_WARNED:
-        _MAKE_COMPRESSOR_WARNED = True
-        warnings.warn(
-            "make_compressor() is deprecated; build compressors from spec "
-            "strings via compressor_from_spec() or FLConfig(compression=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    table = {
-        "none": NoCompression,
-        "topk": TopKSparsifier,
-        "subsample": RandomSubsampler,
-        "quantize": UniformQuantizer,
-    }
-    if name not in table:
-        raise ConfigError(f"unknown compressor {name!r}; choose from {sorted(table)}")
-    return table[name](**kwargs)

@@ -66,8 +66,10 @@ class FaultModel:
         self.corrupted_total = int(state["corrupted_total"])
 
     def surviving_clients(self, selected: np.ndarray) -> np.ndarray:
-        """Apply dropout to this round's selection (>= 1 survivor)."""
-        if self.dropout_prob == 0.0:
+        """Apply dropout to this round's selection (>= 1 survivor of a
+        non-empty one; an async round whose whole cohort is still in
+        flight dispatches nobody)."""
+        if self.dropout_prob == 0.0 or not len(selected):
             return selected
         keep = self._rng.random(len(selected)) >= self.dropout_prob
         if not keep.any():

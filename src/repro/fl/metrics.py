@@ -24,7 +24,20 @@ import numpy as np
 
 @dataclass
 class RoundRecord:
-    """Metrics of one communication round."""
+    """Metrics of one communication round.
+
+    Every engine (flat, hierarchical, async) fills the fields the same
+    way:
+
+    * ``wall_time_sec`` — seconds of the round's step: dispatch, client
+      execution, commits and aggregation, plus the engine's own phases
+      (cloud sync, event-queue drain).  Sampling, evaluation, callbacks
+      and checkpointing are not included.
+    * ``num_selected`` — clients sampled for the round, before the async
+      dispatch cap and fault dropout.  Dropped clients are counted by
+      ``FaultModel.dropped_total``, deferred ones by the
+      ``async.deferred_dispatches`` counter.
+    """
 
     round_idx: int
     train_loss: float

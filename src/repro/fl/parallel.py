@@ -183,7 +183,7 @@ _WORKER_STATE_BUF: mmap.mmap | None = None
 _WORKER_STATE_SEQ = 0
 # The unpacked round-state dict of the currently installed sequence —
 # hierarchical tasks look their region's parameter segment up here
-# before running (see _run_hier_wire_task).
+# before running (see _run_wire_task).
 _WORKER_STATE: dict | None = None
 
 # Shared-memory round-state layout: [u64 payload length][u64 sequence]
@@ -239,39 +239,20 @@ def _run_task(round_idx: int, slots: list[tuple[int, int]]) -> list[tuple[int, C
 
 
 def _run_wire_task(
-    round_idx: int, slots: list[tuple[int, int]]
+    round_idx: int, region: int | None, slots: list[tuple[int, int]]
 ) -> list[tuple[int, bytes | ClientUpdate]]:
     """Wire-transport task: refresh round state, return packed updates.
 
+    ``region`` names the ``hier.<r>`` segment of the broadcast round
+    state that holds this task's region model (a hierarchical round);
+    ``None`` keeps the installed ``global_params`` (a flat round).  One
+    persistent pool thus serves all regions of a round concurrently.
     An update the wire format cannot express (exotic payload values)
     falls back to the pickled record for that client only.
     """
     _install_round_state()
-    pid = os.getpid()
-    out: list[tuple[int, bytes | ClientUpdate]] = []
-    for position, client_id in slots:
-        update = _WORKER_ALGORITHM._client_update(round_idx, client_id)
-        update.worker = pid
-        try:
-            out.append((position, wire.pack_client_update(update)))
-        except WireError:
-            out.append((position, update))
-    return out
-
-
-def _run_hier_wire_task(
-    round_idx: int, region: int, slots: list[tuple[int, int]]
-) -> list[tuple[int, bytes | ClientUpdate]]:
-    """Wire-transport task bound to one region of a hierarchical round.
-
-    The broadcast round state carries every region's model as a
-    ``hier.<r>`` segment; the task installs the shared state once per
-    sequence, then points ``global_params`` at its own region's segment
-    before running — so one persistent pool serves all regions of a
-    round concurrently.
-    """
-    _install_round_state()
-    _WORKER_ALGORITHM.global_params = _WORKER_STATE[f"hier.{region}"]
+    if region is not None:
+        _WORKER_ALGORITHM.global_params = _WORKER_STATE[f"hier.{region}"]
     pid = os.getpid()
     out: list[tuple[int, bytes | ClientUpdate]] = []
     for position, client_id in slots:
@@ -415,43 +396,26 @@ class ParallelExecutor(ClientExecutor):
         _STATE_HEADER.pack_into(self._mmap, 0, len(message), self._seq)
 
     def _run_wire_pool(
-        self, algorithm, round_idx: int, client_ids: list[int]
-    ) -> list[ClientUpdate]:
-        message = wire.pack_state(algorithm._worker_state())
-        self._ensure_wire_pool(algorithm, len(message))
-        self._broadcast_state(message)
-        results: list[ClientUpdate | None] = [None] * len(client_ids)
-        futures = [
-            self._pool.submit(_run_wire_task, round_idx, task)
-            for task in self._tasks(client_ids)
-        ]
-        for future in as_completed(futures):
-            for position, item in future.result():
-                if isinstance(item, (bytes, bytearray)):
-                    item = wire.unpack_client_update(item)
-                results[position] = item
-        missing = [client_ids[i] for i, u in enumerate(results) if u is None]
-        if missing:
-            raise RuntimeError(f"workers returned no result for clients {missing}")
-        return results  # type: ignore[return-value]
-
-    def _run_hier_wire_pool(
         self,
         algorithm,
         round_idx: int,
-        regions: list[tuple[np.ndarray, np.ndarray]],
+        regions: list[tuple[list[int], np.ndarray | None]],
     ) -> list[list[ClientUpdate]]:
         """Run every region's cohort concurrently on the persistent pool.
 
-        One broadcast carries the shared algorithm state plus every
-        region's model (``hier.<r>`` segments); tasks from all regions
-        share the worker pool, so regions aggregate-in-parallel instead
-        of waiting on each other — the hierarchical engine's multi-core
-        speedup.  Results are slotted back per region in input order.
+        ``regions`` holds ``(client_ids, region_params)`` pairs; one
+        broadcast carries the shared algorithm state plus each given
+        region model as a ``hier.<r>`` segment, and tasks from all
+        regions share the worker pool — the hierarchical engine's
+        multi-core speedup.  A flat round is one region with
+        ``region_params=None``: its tasks keep the broadcast
+        ``global_params`` and the state carries no extra segment.
+        Results are slotted back per region in input order.
         """
         state = algorithm._worker_state()
         for r, (_ids, params) in enumerate(regions):
-            state[f"hier.{r}"] = params
+            if params is not None:
+                state[f"hier.{r}"] = params
         message = wire.pack_state(state)
         self._ensure_wire_pool(algorithm, len(message))
         self._broadcast_state(message)
@@ -459,11 +423,12 @@ class ParallelExecutor(ClientExecutor):
             [None] * len(ids) for ids, _params in regions
         ]
         future_region = {}
-        for r, (client_ids, _params) in enumerate(regions):
-            if not len(client_ids):
+        for r, (client_ids, params) in enumerate(regions):
+            if not client_ids:
                 continue
-            for task in self._tasks([int(c) for c in client_ids]):
-                future = self._pool.submit(_run_hier_wire_task, round_idx, r, task)
+            segment = None if params is None else r
+            for task in self._tasks(client_ids):
+                future = self._pool.submit(_run_wire_task, round_idx, segment, task)
                 future_region[future] = r
         for future in as_completed(future_region):
             r = future_region[future]
@@ -472,7 +437,7 @@ class ParallelExecutor(ClientExecutor):
                     item = wire.unpack_client_update(item)
                 results[r][position] = item
         missing = [
-            (r, int(regions[r][0][i]))
+            (r, regions[r][0][i])
             for r, slots in enumerate(results)
             for i, u in enumerate(slots)
             if u is None
@@ -501,16 +466,13 @@ class ParallelExecutor(ClientExecutor):
             return super().run_regions(algorithm, round_idx, regions)
         started = time.perf_counter()
         try:
-            results = self._run_hier_wire_pool(algorithm, round_idx, regions)
-        except WireError as exc:
-            self._close_wire()
-            warnings.warn(
-                f"packed wire transport unavailable ({exc}); "
-                "falling back to sequential region execution",
-                RuntimeWarning,
-                stacklevel=3,
+            results = self._run_wire_pool(
+                algorithm,
+                round_idx,
+                [([int(c) for c in ids], params) for ids, params in regions],
             )
-            self.transport = "pickle"
+        except WireError as exc:
+            self._drop_wire(exc, "sequential region execution")
             return super().run_regions(algorithm, round_idx, regions)
         except Exception as exc:  # worker crash, pickling failure, pool breakage
             self._degrade(f"worker pool failed: {exc!r}")
@@ -523,21 +485,23 @@ class ParallelExecutor(ClientExecutor):
         )
         return results
 
+    def _drop_wire(self, exc: WireError, fallback: str) -> None:
+        """The algorithm's round state cannot ride the packed format;
+        parallelism itself is fine — use pickling from now on."""
+        self._close_wire()
+        warnings.warn(
+            f"packed wire transport unavailable ({exc}); falling back to {fallback}",
+            RuntimeWarning,
+            stacklevel=5,
+        )
+        self.transport = "pickle"
+
     def _dispatch(self, algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
         if self._use_wire(algorithm):
             try:
-                return self._run_wire_pool(algorithm, round_idx, client_ids)
+                return self._run_wire_pool(algorithm, round_idx, [(client_ids, None)])[0]
             except WireError as exc:
-                # The algorithm's round state cannot ride the packed
-                # format; parallelism itself is fine — use pickling.
-                self._close_wire()
-                warnings.warn(
-                    f"packed wire transport unavailable ({exc}); "
-                    "falling back to the pickle transport",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-                self.transport = "pickle"
+                self._drop_wire(exc, "the pickle transport")
         return self._run_pool(algorithm, round_idx, client_ids)
 
     # -- execution -----------------------------------------------------------------

@@ -1,17 +1,30 @@
-"""The federated protocol loop.
+"""The federated round driver.
 
 :func:`run_federated` drives a full training job: round-by-round client
-sampling, one algorithm round, periodic evaluation of the global model,
+sampling, one round step, periodic evaluation of the global model,
 and metric / communication bookkeeping.  It is algorithm-agnostic — all
 method-specific behaviour lives in :mod:`repro.algorithms` — and
-execution-agnostic: ``config.execution`` selects between the
-synchronous barrier loop here, the event-driven buffered engine in
-:mod:`repro.fl.async_engine` (a scheduler swap; with instant runtimes
-and a full-cohort buffer the two are bit-identical), and
-``execution='serve'`` — the same synchronous loop with the per-client
-work running in socket-connected worker processes (:mod:`repro.serve`;
-``make_executor`` swaps the engine, so serve mode needs no trainer
-changes and is bit-identical to 'sync' by the executor contract).
+engine-agnostic: one outer loop serves every topology and execution
+mode, and each contributes only a small :class:`RoundStep`:
+
+* flat (``topology='flat'``, ``execution`` ``'sync'`` or ``'serve'``):
+  :class:`FlatStep` calls ``algorithm.run_round``.  Serve mode swaps
+  the executor (``make_executor``), not the step, so it is bit-identical
+  to 'sync' by the executor contract.
+* hierarchical (``topology='hier:R:P'``): the region step in
+  :mod:`repro.fl.hierarchy` — region models, cloud sync, the
+  ``region_observer`` stream and the hierarchy checkpoint section.
+* async (``execution='async'``): the event-driven step in
+  :mod:`repro.fl.async_engine` — event queue, sim clock, dispatch cap,
+  staleness re-basing and the async checkpoint section.
+
+The driver owns everything the steps share: setup, the selection RNG,
+history and resume, sampling and the ``clients.selected`` counters,
+:class:`~repro.fl.metrics.RoundRecord` construction, eval cadence,
+callbacks, checkpoint cadence, scale gauges, round-boundary cleanup and
+the final accuracies.  With one region and a cloud sync every round,
+or with instant runtimes and a full-cohort buffer, the hierarchical and
+async steps reduce to the flat round bit for bit.
 
 Observability: pass a :class:`repro.obs.Tracer` and every round emits a
 nested span tree (``round`` > ``sample`` / ``broadcast`` /
@@ -32,7 +45,7 @@ import numpy as np
 from repro.data.dataset import FederatedDataset
 
 if TYPE_CHECKING:  # imported for typing only; avoids a circular import
-    from repro.algorithms.base import FederatedAlgorithm
+    from repro.algorithms.base import FederatedAlgorithm, RoundStats
 from repro.exceptions import ConfigError
 from repro.fl.client import evaluate_model
 from repro.fl.config import FLConfig
@@ -84,8 +97,19 @@ def run_federated(
             only); config specs cover the common models, an object here
             covers bespoke ones.
         region_observer: hierarchical topologies only — a callable
-            invoked once per round with the per-region state dict (see
-            :func:`repro.fl.hierarchy.run_hier_federated`).
+            invoked once per round with the per-region state dict
+            ``round``, ``cloud_sync``, ``region_params`` (copies),
+            ``region_weights``, ``train_loss``, ``test_accuracy`` (eval
+            rounds only, else None) and ``bytes`` (the round's ledger).
+
+    With a ``config.checkpoint_dir`` the run saves a between-rounds
+    snapshot every ``checkpoint_every`` rounds (and after the last);
+    ``config.resume`` restores the newest valid one into the freshly
+    set-up objects and re-enters the loop at the next round.  Every
+    per-(round, client, phase) stream is derived from the master seed,
+    so restoring the selection RNG, server state, the ledger/history cut
+    and the step's own section makes the continuation bit-identical to
+    an uninterrupted run.
     """
     if "progress" in removed:
         raise TypeError(
@@ -97,6 +121,14 @@ def run_federated(
         raise TypeError(
             f"run_federated() got unexpected keyword arguments {sorted(removed)}"
         )
+    # execution='async' + hierarchy is rejected at config construction.
+    if runtime is not None and config.execution != "async":
+        raise ConfigError("runtime= is an async-execution knob; set execution='async'")
+    if region_observer is not None and getattr(config, "topology", "flat") == "flat":
+        raise ConfigError(
+            "region_observer= requires a hierarchical topology; set "
+            "topology='hier:R:P'"
+        )
 
     # The dtype policy wraps the entire job — model construction, local
     # training, aggregation, and evaluation all see config.dtype.  The
@@ -104,58 +136,14 @@ def run_federated(
     # it automatically.
     with default_dtype(config.dtype):
         try:
-            if getattr(config, "topology", "flat") != "flat":
-                from repro.fl.hierarchy import run_hier_federated
-
-                # execution='async' + hierarchy is rejected at config
-                # construction; runtime= is likewise an async-only knob.
-                if runtime is not None:
-                    raise ConfigError(
-                        "runtime= is an async-execution knob; set execution='async'"
-                    )
-                return run_hier_federated(
-                    algorithm,
-                    fed,
-                    model_fn,
-                    config,
-                    eval_per_client=eval_per_client,
-                    callbacks=callbacks,
-                    selector=selector,
-                    tracer=tracer,
-                    region_observer=region_observer,
-                )
-            if region_observer is not None:
-                raise ConfigError(
-                    "region_observer= requires a hierarchical topology; set "
-                    "topology='hier:R:P'"
-                )
-            if config.execution == "async":
-                from repro.fl.async_engine import run_async_federated_engine
-
-                return run_async_federated_engine(
-                    algorithm,
-                    fed,
-                    model_fn,
-                    config,
-                    eval_per_client=eval_per_client,
-                    callbacks=callbacks,
-                    selector=selector,
-                    tracer=tracer,
-                    runtime=runtime,
-                )
-            if runtime is not None:
-                raise ConfigError(
-                    "runtime= is an async-execution knob; set execution='async'"
-                )
-            return _run_federated(
-                algorithm,
-                fed,
-                model_fn,
-                config,
+            return _drive(
+                algorithm, fed, model_fn, config,
                 eval_per_client=eval_per_client,
                 callbacks=callbacks,
                 selector=selector,
                 tracer=tracer,
+                runtime=runtime,
+                region_observer=region_observer,
             )
         finally:
             # The wire transport keeps a worker pool and a shared-memory
@@ -164,20 +152,54 @@ def run_federated(
             algorithm.executor.close()
 
 
-# -- helpers shared by the sync loop and the async engine ---------------------------
+# -- round steps ----------------------------------------------------------------------
 
 
-def resolve_round_callbacks(
-    callbacks: Sequence[RoundCallback] | None, tracer
-) -> tuple[list[RoundCallback], "object"]:
-    """Normalize the callback list and tracer (NULL_TRACER when absent);
-    a live tracer observes every round record."""
-    round_callbacks: list[RoundCallback] = list(callbacks) if callbacks else []
-    if tracer is None:
-        tracer = NULL_TRACER
-    if tracer.enabled:
-        round_callbacks.append(tracer.on_round)
-    return round_callbacks, tracer
+class RoundStep:
+    """What one topology/engine contributes to the shared round loop.
+
+    :meth:`run_round` does the round's work between sampling and the
+    ledger close; the other hooks default to no-ops.
+    """
+
+    def run_round(self, round_idx: int, selected: np.ndarray) -> "RoundStats":
+        raise NotImplementedError
+
+    def observe(self, record: RoundRecord, round_comm: dict[str, int]) -> None:
+        """See the finished (evaluated) record before history and
+        callbacks do."""
+
+    def checkpoint_sections(self) -> dict[str, dict]:
+        """Engine-owned checkpoint sections (layout_tree-able dicts)."""
+        return {}
+
+    def restore(self, sections: dict[str, bytes]) -> None:
+        """Adopt this step's sections from a loaded checkpoint."""
+
+    def finish(self, history: History) -> None:
+        """After the last round, once ``history.final_accuracy`` is set."""
+
+
+class FlatStep(RoundStep):
+    """The flat synchronous round: one ``algorithm.run_round`` call."""
+
+    def __init__(self, algorithm: "FederatedAlgorithm") -> None:
+        self.algorithm = algorithm
+
+    def run_round(self, round_idx: int, selected: np.ndarray) -> "RoundStats":
+        return self.algorithm.run_round(round_idx, selected)
+
+
+def _make_step(algorithm, fed, config, history, runtime, region_observer) -> RoundStep:
+    if getattr(config, "topology", "flat") != "flat":
+        from repro.fl.hierarchy import RegionStep
+
+        return RegionStep(algorithm, fed, config, region_observer)
+    if config.execution == "async":
+        from repro.fl.async_engine import AsyncStep
+
+        return AsyncStep(algorithm, fed, config, history, runtime)
+    return FlatStep(algorithm)
 
 
 def build_history(algorithm_name: str, config: FLConfig) -> History:
@@ -196,26 +218,6 @@ def build_history(algorithm_name: str, config: FLConfig) -> History:
     return StreamingHistory(algorithm=algorithm_name, stream_path=stream_path)
 
 
-def release_round_state(fed) -> None:
-    """Round-boundary cleanup for virtual populations: drop the cohort's
-    materialized shards so resident memory stays flat across rounds."""
-    if getattr(fed, "virtual", False):
-        fed.release()
-
-
-def make_client_loss(algorithm, model, fed, config) -> Callable[[int], float]:
-    """Loss of the current global model on one client's shard (the
-    signal loss-based selectors rank by)."""
-
-    def client_loss(client_id: int) -> float:
-        assert algorithm.global_params is not None
-        set_flat_params(model, algorithm.global_params)
-        loss, _acc = evaluate_model(model, fed.clients[client_id], config.eval_batch)
-        return loss
-
-    return client_loss
-
-
 def select_round_clients(
     round_idx: int,
     fed: FederatedDataset,
@@ -226,12 +228,10 @@ def select_round_clients(
 ) -> np.ndarray:
     """One round's cohort — the configured sampler or a custom selector.
 
-    Both execution modes draw from the same ``round_rng`` stream in the
-    same per-round order, which is one of the preconditions for the
-    async engine's zero-latency bit-identity.  ``config.sampler``
-    selects the cohort-drawing strategy (``'uniform'`` is the historical
-    stream; ``'reservoir'`` / ``'stratified[:k]'`` never enumerate the
-    population — see :mod:`repro.fl.sampling`).
+    ``config.sampler`` selects the cohort-drawing strategy
+    (``'uniform'`` is the historical stream; ``'reservoir'`` /
+    ``'stratified[:k]'`` never enumerate the population — see
+    :mod:`repro.fl.sampling`).
     """
     from repro.fl.selection import SelectionContext
 
@@ -248,71 +248,63 @@ def select_round_clients(
     return np.asarray(selector.select(context), dtype=np.int64)
 
 
-def eval_per_client_accuracy(algorithm, model, fed, config, tracer) -> np.ndarray:
-    """Final global model's accuracy on each client's shard (Fig. 11)."""
-    with tracer.span("eval_per_client"):
-        assert algorithm.global_params is not None
-        set_flat_params(model, algorithm.global_params)
-        per_client = np.zeros(fed.num_clients)
-        eval_sets = fed.client_test if fed.client_test else fed.clients
-        for k, shard in enumerate(eval_sets):
-            _loss, acc = evaluate_model(model, shard, config.eval_batch)
-            per_client[k] = acc
-        return per_client
+# -- the loop -------------------------------------------------------------------------
 
 
-# -- the synchronous barrier loop ---------------------------------------------------
-
-
-def _run_federated(
+def _drive(
     algorithm: "FederatedAlgorithm",
     fed: FederatedDataset,
     model_fn: Callable[[], SplitModel],
     config: FLConfig,
     *,
-    eval_per_client: bool = False,
-    callbacks: Sequence[RoundCallback] | None = None,
-    selector=None,
-    tracer=None,
+    eval_per_client: bool,
+    callbacks: Sequence[RoundCallback] | None,
+    selector,
+    tracer,
+    runtime,
+    region_observer,
 ) -> History:
-    round_callbacks, tracer = resolve_round_callbacks(callbacks, tracer)
+    round_callbacks: list[RoundCallback] = list(callbacks) if callbacks else []
+    if tracer is None:
+        tracer = NULL_TRACER
+    if tracer.enabled:
+        round_callbacks.append(tracer.on_round)
 
     model = model_fn()
     algorithm.tracer = tracer
     algorithm.setup(model, fed, config)
     round_rng = np.random.default_rng([config.seed, 0xF1])
-    client_loss = make_client_loss(algorithm, model, fed, config)
-
     history = build_history(algorithm.name, config)
+    step = _make_step(algorithm, fed, config, history, runtime, region_observer)
 
-    # Crash-safe checkpointing (repro.ckpt).  The manager owns the
-    # directory; a resume restores the newest valid checkpoint into the
-    # freshly set-up objects above and re-enters the loop at the next
-    # round.  Every per-(round, client, phase) stream is derived from
-    # the master seed, so restoring the round RNG + server state + the
-    # ledger/history cut makes the continuation bit-identical to an
-    # uninterrupted run.
+    def client_loss(client_id: int) -> float:
+        """Loss of the current global model on one client's shard (the
+        signal loss-based selectors rank by)."""
+        set_flat_params(model, algorithm.global_params)
+        loss, _acc = evaluate_model(model, fed.clients[client_id], config.eval_batch)
+        return loss
+
     manager = None
     start_round = 0
     if config.checkpoint_dir is not None:
+        from repro.ckpt import state as ckpt_state
         from repro.ckpt.manager import CheckpointManager
-        from repro.ckpt.state import capture_run_state, restore_run_state
 
         manager = CheckpointManager(config.checkpoint_dir, keep=config.checkpoint_keep)
-        if config.resume:
-            loaded = manager.load_latest_valid()
-            if loaded is not None:
-                manifest, sections = loaded
-                last_round = restore_run_state(
-                    manifest,
-                    sections,
-                    algorithm=algorithm,
-                    round_rng=round_rng,
-                    history=history,
-                    config=config,
-                    tracer=tracer,
-                )
-                start_round = last_round + 1
+        loaded = manager.load_latest_valid() if config.resume else None
+        if loaded is not None:
+            manifest, sections = loaded
+            last_round = ckpt_state.restore_run_state(
+                manifest,
+                sections,
+                algorithm=algorithm,
+                round_rng=round_rng,
+                history=history,
+                config=config,
+                tracer=tracer,
+            )
+            step.restore(sections)
+            start_round = last_round + 1
 
     for round_idx in range(start_round, config.rounds):
         with tracer.span("round", round=round_idx):
@@ -326,7 +318,7 @@ def _run_federated(
                         "clients.selected", client=int(client_id)
                     ).inc()
             started = time.perf_counter()
-            stats = algorithm.run_round(round_idx, selected)
+            stats = step.run_round(round_idx, selected)
             elapsed = time.perf_counter() - started
             assert algorithm.ledger is not None
             round_comm = algorithm.ledger.end_round()
@@ -340,18 +332,13 @@ def _run_federated(
                 bytes_up=round_comm["up"],
                 num_selected=len(selected),
             )
-            is_eval_round = (
-                round_idx % config.eval_every == 0 or round_idx == config.rounds - 1
-            )
-            if is_eval_round:
+            if round_idx % config.eval_every == 0 or round_idx == config.rounds - 1:
                 with tracer.span("eval"):
-                    assert algorithm.global_params is not None
                     set_flat_params(model, algorithm.global_params)
-                    test_loss, test_acc = evaluate_model(
+                    record.test_loss, record.test_accuracy = evaluate_model(
                         model, fed.test, config.eval_batch
                     )
-                    record.test_loss = test_loss
-                    record.test_accuracy = test_acc
+            step.observe(record, round_comm)
             history.append(record)
             for callback in round_callbacks:
                 callback(record)
@@ -360,23 +347,35 @@ def _run_federated(
                 or round_idx == config.rounds - 1
             ):
                 # After history/ledger bookkeeping: the snapshot is a
-                # consistent between-rounds cut of the whole run.
+                # consistent between-rounds cut of the whole run.  The
+                # sections alias live state, so save before anything
+                # mutates it.
                 with tracer.span("checkpoint"):
-                    meta, sections = capture_run_state(
+                    meta, sections = ckpt_state.capture_run_state(
                         round_idx=round_idx,
                         algorithm=algorithm,
                         round_rng=round_rng,
                         history=history,
                         config=config,
                         tracer=tracer,
+                        extra_sections=step.checkpoint_sections(),
                     )
                     manager.save(round_idx, meta, sections)
             record_scale_gauges(tracer, fed)
-        release_round_state(fed)
+        # Virtual populations drop the cohort's materialized shards so
+        # resident memory stays flat across rounds.
+        if getattr(fed, "virtual", False):
+            fed.release()
 
     history.final_accuracy = history.last_accuracy()
+    step.finish(history)
     if eval_per_client:
-        history.per_client_accuracy = eval_per_client_accuracy(
-            algorithm, model, fed, config, tracer
-        )
+        # Final global model's accuracy on each client's shard (Fig. 11).
+        with tracer.span("eval_per_client"):
+            set_flat_params(model, algorithm.global_params)
+            per_client = np.zeros(fed.num_clients)
+            eval_sets = fed.client_test if fed.client_test else fed.clients
+            for k, shard in enumerate(eval_sets):
+                _loss, per_client[k] = evaluate_model(model, shard, config.eval_batch)
+            history.per_client_accuracy = per_client
     return history

@@ -122,8 +122,10 @@ def test_zero_exponent_disables_discount_but_not_rebasing(fed):
 
 
 def test_buffer_size_caps_flush_batches(fed):
+    tracer = Tracer()
     _alg, history = _run(
-        fed, _config(buffer_size=2), runtime=TraceRuntime(STRAGGLER_TIMES)
+        fed, _config(buffer_size=2), runtime=TraceRuntime(STRAGGLER_TIMES),
+        tracer=tracer,
     )
     per_flush = {}
     for record in history.async_history.records:
@@ -132,13 +134,16 @@ def test_buffer_size_caps_flush_batches(fed):
     # The dispatch cap defers cohort members whose previous update is
     # still in flight, so backlogged rounds dispatch fewer clients than
     # they sample; dispatch_cap=False restores the legacy re-dispatch.
-    assert all(r.num_selected <= fed.num_clients for r in history.records)
-    assert any(r.num_selected < fed.num_clients for r in history.records)
+    # num_selected counts the sampled cohort either way.
+    assert all(r.num_selected == fed.num_clients for r in history.records)
+    assert tracer.metrics.state_dict()["counters"]["async.deferred_dispatches"] > 0
+    legacy_tracer = Tracer()
     _alg, legacy = _run(
         fed, _config(buffer_size=2, dispatch_cap=False),
-        runtime=TraceRuntime(STRAGGLER_TIMES),
+        runtime=TraceRuntime(STRAGGLER_TIMES), tracer=legacy_tracer,
     )
     assert all(r.num_selected == fed.num_clients for r in legacy.records)
+    assert "async.deferred_dispatches" not in legacy_tracer.metrics.state_dict()["counters"]
 
 
 def test_dispatch_cap_bounds_inflight_backlog(fed):
@@ -154,6 +159,24 @@ def test_dispatch_cap_bounds_inflight_backlog(fed):
         runtime=TraceRuntime(STRAGGLER_TIMES),
     )
     assert uncapped.async_history.discarded_updates > fed.num_clients
+
+
+def test_dropout_with_whole_cohort_in_flight(fed):
+    """Regression: when every sampled client is still in flight the
+    dispatch cap leaves an empty cohort, which fault dropout must pass
+    through instead of forcing a survivor out of nobody."""
+    from repro.fl.faults import FaultModel
+
+    alg = make_algorithm("fedavg").with_faults(FaultModel(dropout_prob=0.4, seed=3))
+    tracer = Tracer()
+    history = run_federated(
+        alg, fed, tiny_model_fn(fed),
+        _config(rounds=8, local_steps=1, buffer_size=1, sample_ratio=0.5),
+        runtime=TraceRuntime([0.1, 5.0, 5.0, 5.0]), tracer=tracer,
+    )
+    assert len(history.records) == 8
+    assert all(r.num_selected == 2 for r in history.records)
+    assert tracer.metrics.state_dict()["counters"]["async.deferred_dispatches"] > 0
 
 
 def test_dispatch_cap_keeps_inflight_gauge_bounded(fed):

@@ -20,6 +20,7 @@ import pytest
 
 from repro.algorithms import ALGORITHMS
 from repro.fl.config import FLConfig
+from repro.fl.faults import FaultModel
 from tests.conftest import make_toy_federation
 from tests.helpers import assert_equivalent_runs, run_with_workers
 
@@ -56,17 +57,29 @@ def test_matrix_covers_every_registered_algorithm():
     assert {name for name, _, _ in MATRIX} == set(ALGORITHMS)
 
 
+def _with_dropout(algorithm) -> None:
+    algorithm.with_faults(FaultModel(dropout_prob=0.4, seed=3))
+
+
 @pytest.mark.parametrize(
-    "name,kwargs",
+    "name,kwargs,decorate",
     [
-        pytest.param(name, kwargs, id=name, marks=[pytest.mark.slow] if slow else [])
+        pytest.param(
+            name, kwargs, None, id=name, marks=[pytest.mark.slow] if slow else []
+        )
         for name, kwargs, slow in MATRIX
-    ],
+    ]
+    # Dropout: both engines record the sampled cohort size, and the
+    # survivors train and aggregate identically.
+    + [pytest.param("fedavg", {}, _with_dropout, id="fedavg-dropout")],
 )
-def test_zero_latency_async_is_bit_identical(fed, name, kwargs):
-    sync = run_with_workers(name, kwargs, fed, _config(), num_workers=1)
+def test_zero_latency_async_is_bit_identical(fed, name, kwargs, decorate):
+    sync = run_with_workers(
+        name, kwargs, fed, _config(), num_workers=1, decorate=decorate
+    )
     asynchronous = run_with_workers(
-        name, kwargs, fed, _config(execution="async"), num_workers=1
+        name, kwargs, fed, _config(execution="async"), num_workers=1,
+        decorate=decorate,
     )
     assert_equivalent_runs(sync, asynchronous)
     async_history = asynchronous[1].async_history

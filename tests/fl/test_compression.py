@@ -14,7 +14,6 @@ from repro.fl.compression import (
     TopKSparsifier,
     UniformQuantizer,
     WireSize,
-    make_compressor,
 )
 
 vectors = hnp.arrays(np.float64, st.integers(4, 100), elements=st.floats(-100, 100))
@@ -150,18 +149,6 @@ def test_wire_size_add():
 def test_invalid_configs(cls, kwargs):
     with pytest.raises(ConfigError):
         cls(**kwargs)
-
-
-def test_factory_is_deprecated_but_delegates(monkeypatch):
-    import repro.fl.compression as comp
-
-    monkeypatch.setattr(comp, "_MAKE_COMPRESSOR_WARNED", False)
-    with pytest.deprecated_call():
-        assert isinstance(make_compressor("none"), NoCompression)
-    assert isinstance(make_compressor("topk", ratio=0.1), TopKSparsifier)
-    assert isinstance(make_compressor("quantize", bits=4), UniformQuantizer)
-    with pytest.raises(ConfigError):
-        make_compressor("zip")
 
 
 def test_compressed_fedavg_reduces_uplink(toy_federation, fast_config):

@@ -18,7 +18,6 @@ from repro.fl.compression import (
     UniformQuantizer,
     WireSize,
     compressor_from_spec,
-    make_compressor,
     parse_compression_spec,
 )
 from repro.fl.config import FLConfig, validate_compression_spec
@@ -212,23 +211,6 @@ def test_quantizer_bytes_use_bit_width_in_both_modes(rng):
 def test_quantizer_constant_vector_bytes(rng):
     _recon, wire = UniformQuantizer(8).compress(np.full(10, 3.0), rng)
     assert wire.nbytes(8) == 16  # just the two (equal) range scalars
-
-
-# -- deprecated factory -------------------------------------------------------------
-
-
-def test_make_compressor_warns_once(monkeypatch):
-    import repro.fl.compression as comp
-
-    monkeypatch.setattr(comp, "_MAKE_COMPRESSOR_WARNED", False)
-    with pytest.deprecated_call():
-        make_compressor("topk", ratio=0.1)
-    # Second call in the same process stays quiet.
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        make_compressor("quantize", bits=4)
 
 
 # -- end-to-end: equivalences, accounting, obs --------------------------------------

@@ -17,16 +17,19 @@ cross-topology resumes.
 from __future__ import annotations
 
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.algorithms import ALGORITHMS
+from repro.algorithms import ALGORITHMS, make_algorithm
 from repro.exceptions import CheckpointError, CheckpointMismatchError
 from repro.fl.config import FLConfig
+from repro.fl.faults import FaultModel
 from tests.conftest import make_toy_federation
-from tests.helpers import assert_equivalent_runs, run_with_workers
+from repro.fl.trainer import run_federated
+from tests.helpers import assert_equivalent_runs, run_with_workers, tiny_model_fn
 
 WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
 
@@ -65,17 +68,29 @@ def test_matrix_covers_every_registered_algorithm():
     assert {name for name, _, _ in MATRIX} == set(ALGORITHMS)
 
 
+def _with_dropout(algorithm) -> None:
+    algorithm.with_faults(FaultModel(dropout_prob=0.4, seed=3))
+
+
 @pytest.mark.parametrize(
-    "name,kwargs",
+    "name,kwargs,decorate",
     [
-        pytest.param(name, kwargs, id=name, marks=[pytest.mark.slow] if slow else [])
+        pytest.param(
+            name, kwargs, None, id=name, marks=[pytest.mark.slow] if slow else []
+        )
         for name, kwargs, slow in MATRIX
-    ],
+    ]
+    # Dropout: both engines record the sampled cohort size, and the
+    # survivors train and aggregate identically.
+    + [pytest.param("fedavg", {}, _with_dropout, id="fedavg-dropout")],
 )
-def test_hier_one_one_is_bit_identical_to_flat(fed, name, kwargs):
-    flat = run_with_workers(name, kwargs, fed, _config(), num_workers=1)
+def test_hier_one_one_is_bit_identical_to_flat(fed, name, kwargs, decorate):
+    flat = run_with_workers(
+        name, kwargs, fed, _config(), num_workers=1, decorate=decorate
+    )
     hier = run_with_workers(
-        name, kwargs, fed, _config(topology="hier:1:1"), num_workers=1
+        name, kwargs, fed, _config(topology="hier:1:1"), num_workers=1,
+        decorate=decorate,
     )
     assert_equivalent_runs(flat, hier)
 
@@ -118,6 +133,29 @@ def test_region_parallel_pickle_transport_matches(fed):
         num_workers=WORKERS, executor="process", transport="pickle",
     )
     assert_equivalent_runs(serial, parallel)
+
+
+def test_region_parallel_with_an_empty_region(fed):
+    """A region none of whose clients were sampled sends the pool an
+    empty cohort; chunked scheduling must skip it rather than fail."""
+
+    class SkipRegionOne:
+        def select(self, context):
+            return np.array([0, 1, 3], dtype=np.int64)  # regions [0,1], [2], [3]
+
+    def run(**executor):
+        algorithm = make_algorithm("fedavg")
+        run_federated(
+            algorithm, fed, tiny_model_fn(fed),
+            _config(topology="hier:3:2", **executor), selector=SkipRegionOne(),
+        )
+        return algorithm.global_params
+
+    serial = run(executor="serial")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no degrade to serial
+        chunked = run(executor="chunked", num_workers=WORKERS)
+    np.testing.assert_array_equal(serial, chunked)
 
 
 # -- crash/resume --------------------------------------------------------------
