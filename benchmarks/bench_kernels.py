@@ -8,9 +8,12 @@ paper's CNN and LSTM models) in three configurations:
   :mod:`repro.nn.reference` (loop-based im2col, ``np.where`` ReLU,
   6-D-reshape max pooling, per-timestep recurrent GEMMs).  This is the "before" column.
 * **optimized float64** — the shipped kernels under the default dtype
-  policy.  Must be *bit-identical* to the reference: the harness checks
-  ``np.array_equal`` on outputs and gradients and exits non-zero on any
-  drift, which is what the CI smoke job enforces.
+  policy.  Must be *bit-identical* to the reference: the harness compares
+  the raw bits (so ``-0.0`` and ``0.0``, or two NaNs, count as different)
+  of outputs, input gradients and parameter gradients, and exits non-zero
+  on any drift, which is what the CI smoke job enforces.  ``--quick``
+  includes an LSTM cell at the shape perfbench trains (B=16, T=10,
+  in=12, H=64).
 * **optimized float32** — the shipped kernels under
   ``set_default_dtype("float32")``, the speed configuration.
 
@@ -49,15 +52,31 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # timing helpers
 # --------------------------------------------------------------------------
 
-def _timings(build, x, grad, *, repeats: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Forward/backward best-of timings plus (output, grad_x) for checks."""
+def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bit pattern."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    uint = np.dtype(f"u{a.dtype.itemsize}")
+    return bool(np.array_equal(
+        np.ascontiguousarray(a).view(uint), np.ascontiguousarray(b).view(uint)
+    ))
+
+
+def _all_bits_equal(arrays: list[np.ndarray], others: list[np.ndarray]) -> bool:
+    return len(arrays) == len(others) and all(map(_bits_equal, arrays, others))
+
+
+def _timings(build, x, grad, *, repeats: int) -> tuple[dict, list[np.ndarray]]:
+    """Forward/backward best-of timings, plus the output, the input
+    gradient and the parameter gradients of one pass for checks."""
     module = build()
     out = module.forward(x)
     module.zero_grad()
     gx = module.backward(grad)
+    checked = [out, gx] + [p.grad.copy() for p in module.parameters()]
     fwd = time_op(lambda: module.forward(x), repeats=repeats)
     bwd = time_op(lambda: module.backward(grad), repeats=repeats)
-    return {"forward_sec": fwd, "backward_sec": bwd}, out, gx
+    return {"forward_sec": fwd, "backward_sec": bwd}, checked
 
 
 def _op_record(name: str, build, make_x, grad_of, *, repeats: int) -> dict:
@@ -65,20 +84,17 @@ def _op_record(name: str, build, make_x, grad_of, *, repeats: int) -> dict:
     x64 = make_x(np.float64)
     g64 = grad_of(x64, np.float64)
 
-    opt64, out_opt, gx_opt = _timings(build, x64, g64, repeats=repeats)
-
-    ref64, out_ref, gx_ref = _timings(
+    opt64, checked_opt = _timings(build, x64, g64, repeats=repeats)
+    ref64, checked_ref = _timings(
         lambda: as_reference(build()), x64, g64, repeats=repeats
     )
-    identical = bool(
-        np.array_equal(out_opt, out_ref) and np.array_equal(gx_opt, gx_ref)
-    )
+    identical = _all_bits_equal(checked_opt, checked_ref)
 
     with nn.default_dtype("float32"):
         x32 = make_x(np.float32)
         g32 = grad_of(x32, np.float32)
-        opt32, out32, _ = _timings(build, x32, g32, repeats=repeats)
-    f32_ok = bool(out32.dtype == np.float32) if hasattr(out32, "dtype") else True
+        opt32, checked32 = _timings(build, x32, g32, repeats=repeats)
+    f32_ok = all(a.dtype == np.float32 for a in checked32)
 
     record = {
         "reference_float64": ref64,
@@ -91,7 +107,7 @@ def _op_record(name: str, build, make_x, grad_of, *, repeats: int) -> dict:
     }
     status = "ok" if identical else "FLOAT64 DRIFT"
     print(
-        f"{name:14s} f64 {record['speedup_float64']['forward']:5.2f}x fwd "
+        f"{name:19s} f64 {record['speedup_float64']['forward']:5.2f}x fwd "
         f"{record['speedup_float64']['backward']:5.2f}x bwd   "
         f"f32 {record['speedup_float32_vs_reference']['forward']:5.2f}x fwd "
         f"{record['speedup_float32_vs_reference']['backward']:5.2f}x bwd   "
@@ -157,6 +173,14 @@ def bench_ops(quick: bool, repeats: int) -> dict:
         lambda x, dt: rng.normal(size=(x.shape[0], seq, hid)).astype(dt),
         repeats=repeats,
     )
+    # The first LSTM layer of perfbench's device-lstm-rfedavg workload.
+    ops["lstm_cell_perfbench"] = _op_record(
+        "lstm_cell_perfbench",
+        lambda: nn.LSTMCell(12, 64, rng=np.random.default_rng(3)),
+        lambda dt: rng.normal(size=(16, 10, 12)).astype(dt),
+        lambda x, dt: rng.normal(size=(16, 10, 64)).astype(dt),
+        repeats=repeats,
+    )
     ops["gru_cell"] = _op_record(
         "gru_cell",
         lambda: nn.GRUCell(emb, hid, rng=np.random.default_rng(4)),
@@ -177,7 +201,7 @@ def bench_ops(quick: bool, repeats: int) -> dict:
         "blockwise_max_abs_diff": float(np.abs(dense - blocked).max()),
         "blockwise_allclose": bool(np.allclose(dense, blocked, rtol=1e-12, atol=1e-12)),
     }
-    print(f"{'rbf_mmd':14s} {mmd_sec * 1e3:8.3f} ms   blockwise ok={ops['rbf_mmd']['blockwise_allclose']}")
+    print(f"{'rbf_mmd':19s} {mmd_sec * 1e3:8.3f} ms   blockwise ok={ops['rbf_mmd']['blockwise_allclose']}")
     return ops
 
 
@@ -195,7 +219,9 @@ def _train_step(model, x, y, loss_fn, lr: float = 0.1) -> float:
     return loss
 
 
-def _step_time(make_model, x, y, *, reference: bool, repeats: int) -> tuple[float, np.ndarray]:
+def _step_time(make_model, x, y, *, reference: bool, repeats: int) -> tuple[float, list]:
+    """Best-of train step time, plus the logits, parameter gradients and
+    parameters of one more pass after the timed steps, for checks."""
     model = make_model()
     if reference:
         as_reference(model)
@@ -203,7 +229,11 @@ def _step_time(make_model, x, y, *, reference: bool, repeats: int) -> tuple[floa
     _train_step(model, x, y, loss_fn)  # warm caches / allocator
     sec = time_op(lambda: _train_step(model, x, y, loss_fn), repeats=repeats)
     logits = model.forward(x)
-    return sec, logits
+    loss_fn.forward(logits, y)
+    model.zero_grad()
+    model.backward(loss_fn.backward())
+    params = model.parameters()
+    return sec, [logits] + [p.grad.copy() for p in params] + [p.data for p in params]
 
 
 def bench_train_steps(quick: bool, repeats: int) -> tuple[dict, dict]:
@@ -220,9 +250,9 @@ def bench_train_steps(quick: bool, repeats: int) -> tuple[dict, dict]:
     def make_cnn():
         return build_cnn(3, hw, 10, np.random.default_rng(6), scale=scale)
 
-    ref_sec, ref_logits = _step_time(make_cnn, x_img, y_img, reference=True, repeats=repeats)
-    opt_sec, opt_logits = _step_time(make_cnn, x_img, y_img, reference=False, repeats=repeats)
-    cnn_identical = bool(np.array_equal(ref_logits, opt_logits))
+    ref_sec, ref_checked = _step_time(make_cnn, x_img, y_img, reference=True, repeats=repeats)
+    opt_sec, opt_checked = _step_time(make_cnn, x_img, y_img, reference=False, repeats=repeats)
+    cnn_identical = _all_bits_equal(opt_checked, ref_checked)
     with nn.default_dtype("float32"):
         f32_sec, _ = _step_time(make_cnn, x_img, y_img, reference=False, repeats=repeats)
     steps["cnn_train_step"] = {
@@ -235,7 +265,7 @@ def bench_train_steps(quick: bool, repeats: int) -> tuple[dict, dict]:
         "float64_bit_identical": cnn_identical,
     }
     print(
-        f"{'cnn_step':14s} ref {ref_sec * 1e3:7.2f} ms  opt64 {opt_sec * 1e3:7.2f} ms "
+        f"{'cnn_step':19s} ref {ref_sec * 1e3:7.2f} ms  opt64 {opt_sec * 1e3:7.2f} ms "
         f"({steps['cnn_train_step']['speedup_float64']:.2f}x)  "
         f"opt32 {f32_sec * 1e3:7.2f} ms ({steps['cnn_train_step']['speedup_float32_vs_reference']:.2f}x)"
     )
@@ -252,9 +282,9 @@ def bench_train_steps(quick: bool, repeats: int) -> tuple[dict, dict]:
     def make_lstm():
         return build_lstm_classifier(vocab, 2, np.random.default_rng(7), scale=lscale)
 
-    ref_sec, ref_logits = _step_time(make_lstm, x_tok, y_tok, reference=True, repeats=repeats)
-    opt_sec, opt_logits = _step_time(make_lstm, x_tok, y_tok, reference=False, repeats=repeats)
-    lstm_identical = bool(np.array_equal(ref_logits, opt_logits))
+    ref_sec, ref_checked = _step_time(make_lstm, x_tok, y_tok, reference=True, repeats=repeats)
+    opt_sec, opt_checked = _step_time(make_lstm, x_tok, y_tok, reference=False, repeats=repeats)
+    lstm_identical = _all_bits_equal(opt_checked, ref_checked)
     with nn.default_dtype("float32"):
         f32_sec, _ = _step_time(make_lstm, x_tok, y_tok, reference=False, repeats=repeats)
     steps["lstm_train_step"] = {
@@ -267,7 +297,7 @@ def bench_train_steps(quick: bool, repeats: int) -> tuple[dict, dict]:
         "float64_bit_identical": lstm_identical,
     }
     print(
-        f"{'lstm_step':14s} ref {ref_sec * 1e3:7.2f} ms  opt64 {opt_sec * 1e3:7.2f} ms "
+        f"{'lstm_step':19s} ref {ref_sec * 1e3:7.2f} ms  opt64 {opt_sec * 1e3:7.2f} ms "
         f"({steps['lstm_train_step']['speedup_float64']:.2f}x)  "
         f"opt32 {f32_sec * 1e3:7.2f} ms ({steps['lstm_train_step']['speedup_float32_vs_reference']:.2f}x)"
     )

@@ -96,25 +96,31 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Branchless form of the classic two-sided formulation: with
     ``t = exp(-|x|)`` the positive side is ``1 / (1 + t)`` and the
-    negative side is ``t / (1 + t)`` — exactly the values the original
-    boolean-indexed implementation produced (``-|x|`` *is* ``x`` on the
-    negative side, and both sides share the ``1 + t`` denominator), so
-    results are bit-identical while avoiding the fancy-indexing
-    gather/scatter that dominated its runtime.
+    negative side is ``t / (1 + t)``.  Both sides share the denominator,
+    so one ``divide`` serves both once the numerator is 1 where
+    ``x >= 0``; since ``t <= 1``, ``maximum(t, x >= 0)`` is that
+    numerator.  For every non-NaN input the result has the bits of the
+    original boolean-indexed two-branch implementation
+    (:func:`repro.nn.reference.sigmoid_reference`), signed zeros,
+    subnormals and infinities included (``-|x|`` *is* ``x`` on the
+    negative side), without its fancy-indexing gather/scatter.  NaN in
+    gives NaN out, but not always the same NaN: ``-|x|`` makes every NaN
+    negative, so ``+NaN`` comes out as ``-NaN`` where the reference keeps
+    ``+NaN``.
 
     Follows the input dtype (float32 in, float32 out) and accepts an
-    ``out`` array so recurrent kernels can write gate activations into a
-    preallocated workspace.
+    ``out`` array, which may be ``x`` itself or a strided view, so
+    recurrent kernels can write gate activations into a preallocated
+    workspace.
     """
     if out is None:
         dt = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
         out = np.empty(x.shape, dtype=dt)
+    # The sign mask is taken before anything is written: ``out`` may be ``x``.
+    positive = x >= 0
     t = np.abs(x)
     np.negative(t, out=t)
     np.exp(t, out=t)  # t = exp(-|x|)
-    denom = 1.0 + t
-    np.divide(t, denom, out=t)  # negative-side value t / (1 + t)
-    np.divide(1.0, denom, out=denom)  # positive-side value 1 / (1 + t)
-    np.copyto(out, t)
-    np.copyto(out, denom, where=x >= 0)
-    return out
+    denom = t + 1.0
+    np.maximum(t, positive, out=t)  # numerator: 1 where x >= 0, else t
+    return np.divide(t, denom, out=out)

@@ -50,7 +50,7 @@ class Embedding(Module):
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise ValueError("token id out of range")
-        self._ids = ids
+        self._ids = ids if self.training else None
         return self.weight.data[ids]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

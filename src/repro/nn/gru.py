@@ -50,12 +50,12 @@ class GRUCell(Module):
         batch, steps, _ = x.shape
         hid = self.hidden_dim
         dtype = np.result_type(x.dtype, self.w_x.data.dtype)
-        # Input projection for the whole sequence in one GEMM; rows are
-        # independent, so xw_all[:, t] + bias matches the per-step
-        # x[:, t] @ w_x + bias of the reference bit for bit.
-        xw_all = (x.reshape(batch * steps, -1) @ self.w_x.data).reshape(
-            batch, steps, 3 * hid
-        )
+        # Input projection for the whole sequence in one stacked matmul,
+        # which numpy runs as the reference's per-step x[:, t] @ w_x
+        # call, so xw_all[t] + bias has its bits at every batch size (a
+        # single (B*T, in) GEMM does not at B = 1, where the reference's
+        # product is a matrix-vector one).
+        xw_all = np.matmul(x.transpose(1, 0, 2), self.w_x.data)
         xw_all += self.bias.data
         h = np.zeros((batch, hid), dtype=dtype)
         hs = np.empty((batch, steps, hid), dtype=dtype)
@@ -70,7 +70,7 @@ class GRUCell(Module):
         u_r = self.w_h.data[:, hid : 2 * hid]
         u_n = self.w_h.data[:, 2 * hid :]
         for t in range(steps):
-            xw = xw_all[:, t]
+            xw = xw_all[t]
             z = sigmoid(xw[:, :hid] + h @ u_z, out=cache["z"][:, t])
             r = sigmoid(xw[:, hid : 2 * hid] + h @ u_r, out=cache["r"][:, t])
             hu_n = np.matmul(h, u_n, out=cache["hu_n"][:, t])

@@ -33,7 +33,9 @@ class Linear(Module):
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        # Forward-only passes (eval mode) keep no input, and drop a stale
+        # one so a later backward raises.
+        self._x = x if self.training else None
         out = x @ self.weight.data
         if self.bias is not None:
             out = out + self.bias.data

@@ -6,16 +6,19 @@ an :class:`LSTM` (a stack of layers unrolled over a full sequence), and
 :class:`LastTimestep` (extracts the final hidden state for
 classification heads).
 
-Kernel design (see ``docs/performance.md``): the input projection for
-the whole sequence is hoisted out of the time loop into one
-``(B*T, in) @ (in, 4H)`` GEMM, gate activations are computed with a
-fused sigmoid/tanh block into a preallocated ``(B, T, 4H)`` workspace,
-and the per-step recurrent GEMM reuses one scratch buffer.  BLAS GEMM
-results are row-independent, so every value matches the per-timestep
-reference (:class:`repro.nn.reference.ReferenceLSTMCell`) bit for bit
-in float64 — the equivalence tests enforce exactly that.  All state and
-workspaces follow the input/parameter dtype instead of silently
-upcasting to float64, so float32 training stays float32 end to end.
+Kernel design (see ``docs/performance.md``): the cell works time-major.
+The input projection for the whole sequence is one stacked matmul, the
+caches are laid out so every per-step slice is a contiguous block (gates
+per gate as ``(T, 4, B, H)``, cells, ``tanh(c)`` and hidden states as
+``(T(+1), B, H)``), one sigmoid covers all four gates per step, and
+backward replays the reference's per-gate products on contiguous
+blocks.  Every per-step GEMM keeps the reference's shapes, operand
+orientation and accumulation order, so every value matches the
+per-timestep reference (:class:`repro.nn.reference.ReferenceLSTMCell`)
+bit for bit in float64 — the equivalence tests enforce exactly that.
+All state and workspaces follow the input/parameter dtype instead of
+silently upcasting to float64, so float32 training stays float32 end
+to end.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ class LSTMCell(Module):
     """Single LSTM layer unrolled over time.
 
     Input: (B, T, input_dim).  Output: the full hidden sequence
-    (B, T, hidden_dim).  Gate order in the fused weight matrix is
-    [input, forget, cell, output].  The forget-gate bias starts at 1.0
+    (B, T, hidden_dim), a view of the time-major hidden-state cache (so
+    the next layer's time-major copy of it is free); ``backward``
+    likewise returns a (B, T, input_dim) view.  Gate order in the fused
+    weight matrix is [input, forget, cell, output].  The forget-gate bias starts at 1.0
     (standard remedy for vanishing memory early in training).
     """
 
@@ -65,143 +70,128 @@ class LSTMCell(Module):
         batch, steps, _ = x.shape
         hid = self.hidden_dim
         w_h = self.w_h.data
+        bias = self.bias.data
         dtype = np.result_type(x.dtype, self.w_x.data.dtype)
-        # Input projection for the full sequence: one big GEMM instead of
-        # T small ones.  GEMM rows are independent, so xw[:, t] is
-        # bit-identical to x[:, t] @ w_x.
-        xw = (x.reshape(batch * steps, -1) @ self.w_x.data).reshape(
-            batch, steps, 4 * hid
-        )
-        h = np.zeros((batch, hid), dtype=dtype)
-        c = np.zeros((batch, hid), dtype=dtype)
-        hs = np.empty((batch, steps, hid), dtype=dtype)
-        cells = np.empty((batch, steps, hid), dtype=dtype)
-        gates = np.empty((batch, steps, 4 * hid), dtype=dtype)
-        # tanh(c_t) is needed again by backward; caching it here saves one
-        # transcendental per step in the backward loop.
-        tanh_cells = np.empty((batch, steps, hid), dtype=dtype)
-        # Per-step scratch, reused across the whole sequence.
+        # Time-major copy of the input (free when x is the time-major
+        # output of the layer below) and the input projection for the
+        # whole sequence in one stacked matmul.  numpy runs it as one
+        # (B, in) @ (in, 4H) product per step, the reference's own call,
+        # so xw[t] has its bits for every batch size.  (One big
+        # (T*B, in) GEMM does too for B > 1, but at B = 1 the reference's
+        # product is a matrix-vector one and sums in another order.)
+        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
+        xw = np.matmul(x_tm, self.w_x.data)
+        # Caches, time-major so every per-step slice is contiguous.  Gates
+        # are kept per gate, gates[t, k] = gate k at step t, (B, H), in
+        # the memory of xw: step t reads xw[t] before writing gates[t].
+        # cells[t] and hs[t] are the state *before* step t (index 0 is the
+        # zero initial state), so c_prev/h_prev need no special case.
+        gates = xw.reshape(steps, 4, batch, hid)
+        cells = np.empty((steps + 1, batch, hid), dtype=dtype)
+        hs = np.empty((steps + 1, batch, hid), dtype=dtype)
+        tanh_cells = np.empty((steps, batch, hid), dtype=dtype)
+        cells[0] = 0.0
+        hs[0] = 0.0
         z = np.empty((batch, 4 * hid), dtype=dtype)
         prod = np.empty((batch, hid), dtype=dtype)
         for t in range(steps):
-            np.matmul(h, w_h, out=z)
-            z += xw[:, t]
-            z += self.bias.data
-            # Fused gate block: one sigmoid over [i|f], one tanh over g,
-            # one sigmoid over o, written straight into the cache.
-            g = gates[:, t]
-            sigmoid(z[:, : 2 * hid], out=g[:, : 2 * hid])
-            np.tanh(z[:, 2 * hid : 3 * hid], out=g[:, 2 * hid : 3 * hid])
-            sigmoid(z[:, 3 * hid :], out=g[:, 3 * hid :])
-            gi, gf = g[:, :hid], g[:, hid : 2 * hid]
-            gg, go = g[:, 2 * hid : 3 * hid], g[:, 3 * hid :]
-            # c = gf * c_prev + gi * gg, accumulated in the cache slot.
-            ct = cells[:, t]
-            np.multiply(gf, c, out=ct)
-            np.multiply(gi, gg, out=prod)
-            ct += prod
-            c = ct
-            # h = go * tanh(c)
-            tc = tanh_cells[:, t]
-            np.tanh(ct, out=tc)
-            ht = hs[:, t]
-            np.multiply(go, tc, out=ht)
-            h = ht
-        self._cache = {
-            "x": x,
-            "gates": gates,
-            "cells": cells,
-            "hs": hs,
-            "tanh_cells": tanh_cells,
-        }
-        return hs
+            np.matmul(hs[t], w_h, out=z)
+            z += xw[t]
+            z += bias
+            # One sigmoid over all four gates, written per gate; the g
+            # block is then overwritten with its tanh.
+            g = gates[t]
+            sigmoid(z.reshape(batch, 4, hid), out=g.transpose(1, 0, 2))
+            np.tanh(z[:, 2 * hid : 3 * hid], out=g[2])
+            # c = gf * c_prev + gi * gg
+            np.multiply(g[1], cells[t], out=cells[t + 1])
+            np.multiply(g[0], g[2], out=prod)
+            cells[t + 1] += prod
+            # h = go * tanh(c); tanh(c) is kept for backward.
+            np.tanh(cells[t + 1], out=tanh_cells[t])
+            np.multiply(g[3], tanh_cells[t], out=hs[t + 1])
+        # Forward-only passes (eval mode) keep no cache, and drop a stale
+        # one so a later backward raises.
+        self._cache = None
+        if self.training:
+            self._cache = {
+                "x_tm": x_tm,
+                "gates": gates,
+                "cells": cells,
+                "hs": hs,
+                "tanh_cells": tanh_cells,
+            }
+        return hs[1:].transpose(1, 0, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cache = self._cache
-        x = cache["x"]
-        gates, cells, hs = cache["gates"], cache["cells"], cache["hs"]
-        tanh_cells = cache["tanh_cells"]
-        batch, steps, _ = x.shape
+        x_tm, gates, cells = cache["x_tm"], cache["gates"], cache["cells"]
+        hs, tanh_cells = cache["hs"], cache["tanh_cells"]
+        steps, batch, in_dim = x_tm.shape
         hid = self.hidden_dim
         dtype = gates.dtype
-        w_h = self.w_h.data
-        # grad_x stays per-step: a hoisted (B*T, 4H) @ w_x.T GEMM gives
-        # different BLAS blocking than the per-step reference and breaks
-        # bitwise float64 identity (transposed operands are shape-sensitive).
-        grad_x = np.empty(x.shape, dtype=dtype)
-        # Preallocated per-step workspaces.  Every elementwise chain below
-        # replays the reference expressions operation-for-operation (same
-        # operands, same association), so writing through scratch buffers
-        # instead of fresh temporaries changes nothing bitwise.
-        dz = np.empty((batch, 4 * hid), dtype=dtype)
+        grad_tm = np.ascontiguousarray(grad_out.transpose(1, 0, 2))
+        # Factors shared by every step, computed once for the sequence:
+        # 1 - gate for i, f, o, 1 - gg**2 for g, and 1 - tanh(c)**2.
+        one_minus = np.subtract(1.0, gates)
+        np.multiply(gates[:, 2], gates[:, 2], out=one_minus[:, 2])
+        np.subtract(1.0, one_minus[:, 2], out=one_minus[:, 2])
+        dtanh = np.multiply(tanh_cells, tanh_cells)
+        np.subtract(1.0, dtanh, out=dtanh)
+        w_h_t = self.w_h.data.T
+        w_x_t = self.w_x.data.T
+        grad_x = np.empty((steps, batch, in_dim), dtype=dtype)
+        dz_seq = np.empty((steps, batch, 4 * hid), dtype=dtype)
+        dz4 = np.empty((4, batch, hid), dtype=dtype)
         dh = np.empty((batch, hid), dtype=dtype)
         dc = np.empty((batch, hid), dtype=dtype)
-        s = np.empty((batch, hid), dtype=dtype)
         dh_next = np.zeros((batch, hid), dtype=dtype)
         dc_next = np.zeros((batch, hid), dtype=dtype)
-        zero_state = np.zeros((batch, hid), dtype=dtype)
-        w_h_t = w_h.T
-        w_x_t = self.w_x.data.T
-        # GEMM destinations.  The per-step parameter-gradient products are
-        # large enough (hundreds of KB) that fresh temporaries go through
-        # mmap on every step; writing them into preallocated buffers via
-        # out= produces the same values without the allocator churn.
+        # GEMM destinations.  Every per-step GEMM keeps the reference's
+        # shapes, operand orientation and `+=` accumulation order: BLAS
+        # blocking depends on them, and e.g. hoisting dz @ w_x.T over all
+        # steps changes the bits (see docs/performance.md).
         gw_x = np.empty(self.w_x.data.shape, dtype=dtype)
-        gw_h = np.empty(w_h.shape, dtype=dtype)
-        gbias = np.empty(4 * hid, dtype=dtype)
-        gx = np.empty((batch, x.shape[2]), dtype=dtype)
+        gw_h = np.empty(self.w_h.data.shape, dtype=dtype)
         for t in reversed(range(steps)):
-            g = gates[:, t]
-            gi, gf = g[:, :hid], g[:, hid : 2 * hid]
-            gg, go = g[:, 2 * hid : 3 * hid], g[:, 3 * hid :]
-            c_prev = cells[:, t - 1] if t > 0 else zero_state
-            h_prev = hs[:, t - 1] if t > 0 else zero_state
-            tanh_c = tanh_cells[:, t]
+            g = gates[t]
             # dh = grad_out_t + dh_next
-            np.add(grad_out[:, t], dh_next, out=dh)
             # dc = dh * go * (1 - tanh_c**2) + dc_next
-            np.multiply(dh, go, out=dc)
-            np.multiply(tanh_c, tanh_c, out=s)
-            np.subtract(1.0, s, out=s)
-            dc *= s
+            np.add(grad_tm[t], dh_next, out=dh)
+            np.multiply(dh, g[3], out=dc)
+            dc *= dtanh[t]
             dc += dc_next
-            # dz_i = dc * gg * gi * (1 - gi)
-            dzi = dz[:, :hid]
-            np.multiply(dc, gg, out=dzi)
-            dzi *= gi
-            np.subtract(1.0, gi, out=s)
-            dzi *= s
-            # dz_f = dc * c_prev * gf * (1 - gf)
-            dzf = dz[:, hid : 2 * hid]
-            np.multiply(dc, c_prev, out=dzf)
-            dzf *= gf
-            np.subtract(1.0, gf, out=s)
-            dzf *= s
-            # dz_g = dc * gi * (1 - gg**2)
-            dzg = dz[:, 2 * hid : 3 * hid]
-            np.multiply(dc, gi, out=dzg)
-            np.multiply(gg, gg, out=s)
-            np.subtract(1.0, s, out=s)
-            dzg *= s
-            # dz_o = dh * tanh_c * go * (1 - go)
-            dzo = dz[:, 3 * hid :]
-            np.multiply(dh, tanh_c, out=dzo)
-            dzo *= go
-            np.subtract(1.0, go, out=s)
-            dzo *= s
-            np.matmul(x[:, t].T, dz, out=gw_x)
+            # The reference's gate gradients, association for association:
+            #   dz_i = ((dc * gg) * gi) * (1 - gi)
+            #   dz_f = ((dc * c_prev) * gf) * (1 - gf)
+            #   dz_g = (dc * gi) * (1 - gg**2)
+            #   dz_o = ((dh * tanh_c) * go) * (1 - go)
+            # with the last factor applied to all four gates in one call.
+            np.multiply(dc, g[2], out=dz4[0])
+            np.multiply(dc, cells[t], out=dz4[1])
+            np.multiply(dc, g[0], out=dz4[2])
+            np.multiply(dh, tanh_cells[t], out=dz4[3])
+            dz4[:2] *= g[:2]
+            dz4[3] *= g[3]
+            dz4 *= one_minus[t]
+            dz = dz_seq[t]
+            dz.reshape(batch, 4, hid)[...] = dz4.transpose(1, 0, 2)
+            np.matmul(x_tm[t].T, dz, out=gw_x)
             self.w_x.grad += gw_x
-            np.matmul(h_prev.T, dz, out=gw_h)
+            np.matmul(hs[t].T, dz, out=gw_h)
             self.w_h.grad += gw_h
-            np.sum(dz, axis=0, out=gbias)
-            self.bias.grad += gbias
-            np.matmul(dz, w_x_t, out=gx)
-            grad_x[:, t] = gx
+            np.matmul(dz, w_x_t, out=grad_x[t])
             np.matmul(dz, w_h_t, out=dh_next)
-            np.multiply(dc, gf, out=dc_next)
-        return grad_x
+            np.multiply(dc, g[1], out=dc_next)
+        # The bias gradient: each step's column sum, taken for all steps in
+        # one reduction (row by row, the same order as dz.sum(axis=0)),
+        # then accumulated step by step in the reference's order.
+        gbias = dz_seq.sum(axis=1)
+        for t in reversed(range(steps)):
+            self.bias.grad += gbias[t]
+        return grad_x.transpose(1, 0, 2)
 
 
 class LSTM(Module):
@@ -244,7 +234,7 @@ class LastTimestep(Module):
         self._shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = x.shape if self.training else None
         return x[:, -1, :]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

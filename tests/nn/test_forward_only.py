@@ -1,8 +1,10 @@
 """Forward-only (eval-mode) passes keep no backward caches.
 
-Conv2d, ReLU and MaxPool2d skip their caches when ``training`` is False,
-and clear any left by an earlier training forward, so a ``backward``
-after an eval pass raises instead of silently reusing stale activations.
+Conv2d, ReLU, MaxPool2d and the sequence model's layers (Embedding,
+LSTMCell, LastTimestep, Linear) skip their caches when ``training`` is
+False, and clear any left by an earlier training forward, so a
+``backward`` after an eval pass raises instead of silently reusing
+stale activations.
 """
 
 import numpy as np
@@ -12,20 +14,32 @@ from repro import nn
 from repro.data.dataset import ArrayDataset
 from repro.fl.client import compute_mean_embedding, evaluate_model
 from repro.models.cnn import build_cnn
+from repro.models.lstm import build_lstm_classifier
+
+
+def _normal(shape):
+    return lambda rng: rng.normal(size=shape)
+
 
 LAYERS = {
     "conv2d": (lambda: nn.Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)),
-               (2, 2, 6, 6)),
-    "relu": (nn.ReLU, (2, 3, 6, 6)),
-    "maxpool2d": (lambda: nn.MaxPool2d(2), (2, 3, 6, 6)),
+               _normal((2, 2, 6, 6))),
+    "relu": (nn.ReLU, _normal((2, 3, 6, 6))),
+    "maxpool2d": (lambda: nn.MaxPool2d(2), _normal((2, 3, 6, 6))),
+    "embedding": (lambda: nn.Embedding(11, 4, rng=np.random.default_rng(0)),
+                  lambda rng: rng.integers(0, 11, size=(3, 5))),
+    "lstm_cell": (lambda: nn.LSTMCell(4, 6, rng=np.random.default_rng(0)),
+                  _normal((3, 5, 4))),
+    "last_timestep": (nn.LastTimestep, _normal((3, 5, 6))),
+    "linear": (lambda: nn.Linear(6, 2, rng=np.random.default_rng(0)), _normal((3, 6))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LAYERS))
 def test_eval_forward_clears_training_cache(rng, name):
-    build, shape = LAYERS[name]
+    build, make_x = LAYERS[name]
     layer = build()
-    x = rng.normal(size=shape)
+    x = make_x(rng)
     out = layer.forward(x)
     layer.eval()
     layer.forward(x)
@@ -35,9 +49,9 @@ def test_eval_forward_clears_training_cache(rng, name):
 
 @pytest.mark.parametrize("name", sorted(LAYERS))
 def test_eval_forward_equals_train_forward(rng, name):
-    build, shape = LAYERS[name]
+    build, make_x = LAYERS[name]
     layer = build()
-    x = rng.normal(size=shape)
+    x = make_x(rng)
     train_out = layer.forward(x)
     layer.eval()
     np.testing.assert_array_equal(layer.forward(x), train_out)
@@ -57,9 +71,12 @@ def test_conv2d_output_is_contiguous(rng):
 def _array_attrs(module):
     """Names of the ndarray-valued attributes a module tree holds,
     parameters excepted (they live inside :class:`Parameter` objects)."""
+    def holds_array(v):
+        items = v.values() if isinstance(v, dict) else v if isinstance(v, list) else [v]
+        return any(isinstance(i, np.ndarray) for i in items)
+
     held = [f"{type(module).__name__}.{k}" for k, v in vars(module).items()
-            if isinstance(v, np.ndarray)
-            or (isinstance(v, list) and any(isinstance(i, np.ndarray) for i in v))]
+            if holds_array(v)]
     for value in vars(module).values():
         children = value if isinstance(value, list) else [value]
         for child in children:
@@ -87,3 +104,17 @@ def test_evaluate_model_leaves_no_cache(rng):
     model, data = _cnn_and_data(rng)
     evaluate_model(model, data, batch_size=8)
     assert _array_attrs(model) == []
+
+
+def test_eval_forward_of_sequence_features_keeps_no_cache(rng):
+    """The LSTM classifier's feature extractor, as compute_mean_embedding
+    runs it: a training forward pins caches, an eval forward drops them."""
+    model = build_lstm_classifier(30, 2, np.random.default_rng(1), scale=0.25)
+    x = rng.integers(0, 30, size=(4, 7))
+    model.features.forward(x)
+    assert {"Embedding._ids", "LSTMCell._cache", "Linear._x"} <= set(
+        _array_attrs(model.features)
+    )
+    model.features.eval()
+    model.features.forward(x)
+    assert _array_attrs(model.features) == []

@@ -2,12 +2,14 @@
 
 The kernel rewrites (strided im2col, contiguous Conv2d output, fmax
 ReLU, strided-slice MaxPool2d, hoisted recurrent input projections,
-fused gate blocks, branchless sigmoid, preallocated GEMM destinations)
-ship under one contract: in float64 they produce **the
-same bits** as the original implementations, which are frozen verbatim
-in :mod:`repro.nn.reference`.  ``np.array_equal`` throughout — no
-tolerances — and where signed zeros, NaNs or subnormals are the point,
-the raw bit patterns are compared, since ``-0.0 == 0.0``.
+time-major LSTM caches, one sigmoid per LSTM step, branchless sigmoid,
+preallocated GEMM destinations) ship under one contract: in float64
+they produce **the same bits** as the original implementations, which
+are frozen verbatim in :mod:`repro.nn.reference`.  No tolerances: the
+raw bit patterns are compared wherever signed zeros, NaNs or
+subnormals can matter, and for the recurrent cells and the LSTM model,
+since ``assert_array_equal`` treats ``-0.0 == 0.0`` and any two NaNs
+as equal.
 """
 
 import copy
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.models.lstm import build_lstm_classifier
 from repro.nn.activations import sigmoid
 from repro.nn.conv import Conv2d, col2im, im2col
 from repro.nn.gru import GRUCell
@@ -35,6 +38,21 @@ def _params_equal(a, b):
     )
 
 
+def _assert_bits_equal(a, b):
+    """Same dtype, shape and bit pattern (distinguishes -0.0 and NaNs)."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    uint = np.dtype(f"u{a.dtype.itemsize}")
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a).view(uint), np.ascontiguousarray(b).view(uint)
+    )
+
+
+def _assert_params_bits_equal(a, b):
+    for p, q in zip(a.parameters(), b.parameters(), strict=True):
+        _assert_bits_equal(p.data, q.data)
+        _assert_bits_equal(p.grad, q.grad)
+
+
 # -- sigmoid --------------------------------------------------------------------
 
 
@@ -44,9 +62,38 @@ def test_branchless_sigmoid_matches_two_branch_reference(rng):
         np.testing.assert_array_equal(sigmoid(x), sigmoid_reference(x))
 
 
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+                 709.0, -709.0, 745.2, -745.2, 800.0, -800.0, np.inf, -np.inf]
+
+
+# Runs of one value, at these lengths, reach both numpy's vectorized
+# loops and their scalar tails.
+SIGMOID_LENGTHS = [1, 3, 7, 8, 17, 33]
+
+
 def test_branchless_sigmoid_edge_values():
-    x = np.array([0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, np.inf, -np.inf])
-    np.testing.assert_array_equal(sigmoid(x), sigmoid_reference(x))
+    for n in SIGMOID_LENGTHS:
+        for x in [np.full(n, v) for v in SIGMOID_EDGES] + [np.tile(SIGMOID_EDGES, n)]:
+            _assert_bits_equal(sigmoid(x), sigmoid_reference(x))
+
+
+def test_sigmoid_nan_in_nan_out():
+    """NaN gives NaN (as ``-NaN``; the reference keeps the input's sign)."""
+    for n in SIGMOID_LENGTHS:
+        x = np.resize(np.array([np.nan, -np.nan, 1.0, -1.0]), n)
+        out = sigmoid(x)
+        np.testing.assert_array_equal(np.isnan(out), np.isnan(x))
+        assert np.signbit(out[np.isnan(out)]).all()
+
+
+def test_sigmoid_in_place_matches_reference(rng):
+    """``out=x`` overwrites the input; the sign mask is read before that."""
+    x = np.concatenate([rng.normal(size=40) * 5, SIGMOID_EDGES])
+    expected = sigmoid_reference(x)
+    result = sigmoid(x, out=x)
+    assert result is x
+    _assert_bits_equal(x, expected)
+    assert sigmoid(np.array([-3.0]), out=np.array([-3.0]))[0] < 0.5
 
 
 def test_sigmoid_out_strided_destination(rng):
@@ -94,15 +141,6 @@ def test_col2im_matches_reference(rng, shape):
 
 
 # -- ReLU / MaxPool2d -------------------------------------------------------------
-
-
-def _assert_bits_equal(a, b):
-    """Same dtype, shape and bit pattern (distinguishes -0.0 and NaNs)."""
-    assert a.dtype == b.dtype and a.shape == b.shape
-    uint = np.dtype(f"u{a.dtype.itemsize}")
-    np.testing.assert_array_equal(
-        np.ascontiguousarray(a).view(uint), np.ascontiguousarray(b).view(uint)
-    )
 
 
 def _fwd_bwd_bits(layer, x, grad_out):
@@ -238,20 +276,28 @@ def test_conv2d_matches_reference_bitwise(rng):
     [
         (LSTMCell, (13, 16, 4, 7)),
         (LSTMCell, (25, 32, 9, 12)),
+        # the shapes perfbench's LSTM workload trains: B=16, T=10, H=64,
+        # input 12 (first layer) and 64 (second layer)
+        (LSTMCell, (12, 64, 16, 10)),
+        (LSTMCell, (64, 64, 16, 10)),
+        (LSTMCell, (7, 5, 3, 1)),
+        (LSTMCell, (7, 5, 1, 6)),
         (GRUCell, (13, 16, 4, 7)),
         (GRUCell, (25, 32, 9, 12)),
+        (GRUCell, (7, 5, 1, 6)),
     ],
-    ids=["lstm-small", "lstm-wide", "gru-small", "gru-wide"],
+    ids=["lstm-small", "lstm-wide", "lstm-bench-in12", "lstm-bench-in64",
+         "lstm-one-step", "lstm-batch-one", "gru-small", "gru-wide", "gru-batch-one"],
 )
 def test_recurrent_cell_matches_reference_bitwise(rng, cell_cls, dims):
     in_dim, hid, batch, steps = dims
     cell = cell_cls(in_dim, hid, rng=np.random.default_rng(5))
     ref = as_reference(copy.deepcopy(cell))
     x = rng.normal(size=(batch, steps, in_dim))
-    np.testing.assert_array_equal(cell.forward(x), ref.forward(x))
+    _assert_bits_equal(cell.forward(x), ref.forward(x))
     grad_out = rng.normal(size=(batch, steps, hid))
-    np.testing.assert_array_equal(cell.backward(grad_out), ref.backward(grad_out))
-    assert _params_equal(cell, ref)
+    _assert_bits_equal(cell.backward(grad_out), ref.backward(grad_out))
+    _assert_params_bits_equal(cell, ref)
 
 
 def test_backward_twice_accumulates_identically(rng):
@@ -304,6 +350,62 @@ def test_full_model_train_flow_bitwise(rng):
     assert _params_equal(model, ref)
     for out, ref_out in zip(logits["opt"], logits["ref"]):
         _assert_bits_equal(out, ref_out)
+
+
+def _lstm_train_flow(model, x, x_eval, y):
+    """3 SGD steps, each followed by a forward-only pass; returns the
+    eval logits and each step's gradients."""
+    loss = nn.SoftmaxCrossEntropy()
+    logits, grads = [], []
+    for _step in range(3):
+        model.train()
+        model.zero_grad()
+        loss.forward(model(x), y)
+        model.backward(loss.backward())
+        grads.append([p.grad.copy() for p in model.parameters()])
+        for p in model.parameters():
+            p.data -= 0.1 * p.grad
+        model.eval()
+        logits.append(model(x_eval))
+    return logits, grads
+
+
+def test_lstm_model_train_flow_bitwise(rng):
+    """The paper's LSTM classifier end to end, optimized vs reference."""
+    def build():
+        return build_lstm_classifier(50, 2, np.random.default_rng(3), scale=0.25)
+
+    model = build()
+    ref = as_reference(build())
+    assert [type(c).__name__ for c in ref.features.layers[1].cells] == [
+        "ReferenceLSTMCell", "ReferenceLSTMCell",
+    ]
+    x = rng.integers(0, 50, size=(6, 9))
+    x_eval = rng.integers(0, 50, size=(5, 9))
+    y = rng.integers(0, 2, 6)
+    logits, grads = _lstm_train_flow(model, x, x_eval, y)
+    ref_logits, ref_grads = _lstm_train_flow(ref, x, x_eval, y)
+    for out, ref_out in zip(logits, ref_logits, strict=True):
+        _assert_bits_equal(out, ref_out)
+    for step, ref_step in zip(grads, ref_grads, strict=True):
+        for g, ref_g in zip(step, ref_step, strict=True):
+            _assert_bits_equal(g, ref_g)
+    _assert_params_bits_equal(model, ref)
+
+
+def test_lstm_model_train_flow_keeps_float32(rng):
+    with nn.default_dtype("float32"):
+        model = build_lstm_classifier(50, 2, np.random.default_rng(3), scale=0.25)
+    x = rng.integers(0, 50, size=(6, 9))
+    logits, grads = _lstm_train_flow(model, x, x, rng.integers(0, 2, 6))
+    assert all(out.dtype == np.float32 for out in logits)
+    assert all(g.dtype == np.float32 for step in grads for g in step)
+    assert all(p.data.dtype == np.float32 for p in model.parameters())
+    lstm = model.features.layers[1]
+    lstm.train()
+    hs = lstm.forward(rng.normal(size=(4, 3, 12)).astype(np.float32))
+    assert hs.dtype == np.float32
+    assert lstm.backward(np.ones_like(hs)).dtype == np.float32
 
 
 # -- blockwise MMD --------------------------------------------------------------
